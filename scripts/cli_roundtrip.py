@@ -2,8 +2,9 @@
 """End-to-end CLI exercise over the bundled inputs.
 
 Verifies the exit-code contract (0 verified / 2 falsified / 1 malformed),
-the witness -> certify round trip, and byte-stable JSON output.  Prints one
-line per check and exits nonzero on the first deviation.
+the witness -> certify round trip, and byte-stable JSON output.  Any
+traceback on stderr counts as a failure.  Prints one line per check and
+exits nonzero if any check failed.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CLI = [sys.executable, "-m", "bochner_bounds.cli"]
 
 
+TRACEBACKS: list[str] = []
+
+
 def run(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
+    r = subprocess.run(
         CLI + list(args), capture_output=True, text=True, cwd=ROOT,
     )
+    if "Traceback" in r.stderr:
+        TRACEBACKS.append(" ".join(args[:1]))
+    return r
 
 
 def expect(label: str, ok: bool, detail: str = "") -> bool:
@@ -91,6 +98,30 @@ def main() -> int:
         good &= expect("unknown hypothesis tag exits 1",
                        run("check", "--input", str(unknown)).returncode == 1)
 
+        function = json.loads((inputs / "disk_lens.json").read_text())["function"]
+        nan_doc = tmpdir / "nan.json"
+        nan_doc.write_text(
+            json.dumps({"schema": "bochner-bounds/1",
+                        "function": dict(function, values=[[[float("nan"), 0.0]]] * 9),
+                        "hypothesis": {"type": "unit_vector", "e": [[1, 0]],
+                                       "k1": 0.5, "k2": 0.0}}),
+            encoding="utf-8",
+        )
+        wrong_type = tmpdir / "wrong_type.json"
+        wrong_type.write_text(
+            json.dumps({"schema": "bochner-bounds/1", "function": function,
+                        "hypothesis": {"type": "k_cond", "e": [[1, 0]], "K": [2]}}),
+            encoding="utf-8",
+        )
+        for path, field in ((nan_doc, "values"), (wrong_type, "hypothesis.K")):
+            for command in ("check", "certify"):
+                r = run(command, "--input", str(path))
+                good &= expect(
+                    f"{path.name} {command} exits 1 naming {field}",
+                    r.returncode == 1 and r.stderr.startswith("error: ") and field in r.stderr,
+                    r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
+                )
+
         r = run("integrate", "--input", str(inputs / "disk_lens.json"))
         doc = json.loads(r.stdout)
         good &= expect(
@@ -98,6 +129,7 @@ def main() -> int:
             r.returncode == 0 and doc["triangle_slack"] >= -1e-12,
         )
 
+    good &= expect("no traceback on stderr", not TRACEBACKS, ", ".join(TRACEBACKS))
     print("round trip:", "all checks passed" if good else "FAILURES above")
     return 0 if good else 1
 

@@ -1,30 +1,30 @@
 """Reverse-inequality coefficients, certified lower bounds, equality cases.
 
-Each hypothesis class carries a closed-form coefficient c <= 1 such that
+Each hypothesis class implies, through its normal form
+:func:`~bochner_bounds.hypotheses.family_form`, an orthonormal family e_j and
+constants k_j, h_j >= 0 with k_j ||f|| <= Re<f, e_j> and h_j ||f|| <= Im<f, e_j>
+pointwise.  Then
 
-    c * integral ||f(t)|| dt  <=  || integral f(t) dt ||
+    c * integral ||f(t)|| dt  <=  || integral f(t) dt ||,   c = sqrt(sum_j k_j^2 + h_j^2),
 
-for every f satisfying the class pointwise.  :func:`certify` evaluates both
-sides by quadrature and also predicts the exact value of the vector integral
-in the equality case, so the bound and its sharpness characterization can be
-tested in both directions on concrete data.
+with equality iff ``integral f = (sum_j (k_j + i h_j) e_j) * integral ||f||``.
+:func:`certify` evaluates both sides by quadrature and also predicts that
+equality vector, so the bound and its sharpness characterization can be
+tested in both directions on concrete data, for every class.
 
-Coefficients:
+Derived constants (k, h) per vector:
 
-* unit vector constants (k1, k2):        sqrt(k1^2 + k2^2)
-* disks (eta1, eta2):                    sqrt(2 - eta1^2 - eta2^2)
-* annuli (m1, M1, m2, M2):               2*sqrt(m1 M1/(M1+m1)^2 + m2 M2/(M2+m2)^2)
-* orthonormal constants (k_j, h_j):      sqrt(sum_j k_j^2 + h_j^2)
-* orthonormal disks (rho_k, eta_k):      sqrt(sum_k 2 - rho_k^2 - eta_k^2)
-* orthonormal annuli:                    2*sqrt(sum_k m_k M_k/(M_k+m_k)^2 + n_k N_k/(N_k+n_k)^2)
-* cone (phi1, phi2):                     sqrt(sin^2 phi1 + cos^2 phi2)
-* symmetric argument window (theta):     cos(theta)
-* K-condition:                           1/K
+* unit vector constants (k1, k2):        (k1, k2)
+* disks (eta1, eta2):                    (sqrt(1 - eta1^2), sqrt(1 - eta2^2))
+* annuli (m1, M1, m2, M2):               (2 sqrt(m1 M1)/(M1+m1), 2 sqrt(m2 M2)/(M2+m2))
+* orthonormal families:                  the same, once per family vector
+* cone (phi1, phi2), e = 1:              (cos phi2, sin phi1)
+* symmetric argument window (theta):     (cos theta, 0), i.e. KCond with K = 1/cos theta
+* K-condition:                           (1/K, 0)
 
-The orthonormal-annulus coefficient is the real sum of per-vector terms; it
-reduces exactly to the single-vector annulus formula at n = 1.  A value
-above 1 certifies that the hypothesis class is empty (no function can beat
-the triangle inequality) and is reported as a warning, not an error.
+A coefficient above 1 certifies that the hypothesis class is empty (no
+function can beat the triangle inequality) and is reported as a warning, not
+an error.
 """
 
 from __future__ import annotations
@@ -35,25 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import DEFAULT_RULE, GridFunction, QuadratureRule, integrate_norm, integrate_vector
-from .hypotheses import (
-    Cone,
-    DEFAULT_CHECK_TOL,
-    Disk,
-    Hypothesis,
-    Karamata,
-    KCond,
-    MBounds,
-    Orthonormal,
-    OrthoDisk,
-    OrthoMBounds,
-    UnitVector,
-    check,
-    mM_to_k,
-    tag_of,
-)
+from .hypotheses import DEFAULT_CHECK_TOL, Cone, Hypothesis, check, family_form, tag_of
 
 __all__ = [
     "coefficient",
+    "equality_direction",
     "BoundReport",
     "certify",
     "equality_holds",
@@ -63,75 +49,19 @@ __all__ = [
 
 
 def coefficient(h: Hypothesis) -> float:
-    """Closed-form lower-bound coefficient of the hypothesis class (unclamped)."""
-    # the single-vector formulas reuse the family arithmetic term for term,
-    # so an n=1 family collapses to its single-vector coefficient exactly
-    if isinstance(h, UnitVector):
-        return math.sqrt(_re_im_term(h.k1, h.k2))
-    if isinstance(h, KCond):
-        return 1.0 / h.K
-    if isinstance(h, Karamata):
-        return math.cos(h.theta)
-    if isinstance(h, Disk):
-        return math.sqrt(_disk_term(h.eta1, h.eta2))
-    if isinstance(h, MBounds):
-        return math.sqrt(_re_im_term(mM_to_k(h.m1, h.M1), mM_to_k(h.m2, h.M2)))
-    if isinstance(h, Orthonormal):
-        return math.sqrt(sum(_re_im_term(k, hh) for k, hh in zip(h.ks, h.hs)))
-    if isinstance(h, OrthoDisk):
-        return math.sqrt(sum(_disk_term(r, e) for r, e in zip(h.rhos, h.etas)))
-    if isinstance(h, OrthoMBounds):
-        return math.sqrt(
-            sum(
-                _re_im_term(mM_to_k(m, M), mM_to_k(n, N))
-                for m, M, n, N in zip(h.ms, h.Ms, h.ns, h.Ns)
-            )
-        )
-    if isinstance(h, Cone):
-        return math.sqrt(math.sin(h.phi1) ** 2 + math.cos(h.phi2) ** 2)
-    raise TypeError(f"unknown hypothesis {type(h).__name__}")
+    """Closed-form lower-bound coefficient sqrt(sum k_j^2 + h_j^2) (unclamped)."""
+    _, ks, hs = family_form(h)
+    # builtin sum: left to right for any n, unlike numpy's blocked pairwise sum
+    return math.sqrt(sum(ks * ks + hs * hs))
 
 
-def _re_im_term(k: float, h: float) -> float:
-    return k * k + h * h
-
-
-def _disk_term(eta_re: float, eta_im: float) -> float:
-    return 2.0 - eta_re * eta_re - eta_im * eta_im
-
-
-def equality_direction(h: Hypothesis) -> np.ndarray | None:
+def equality_direction(h: Hypothesis) -> np.ndarray:
     """Predicted value of (integral f) / (integral ||f||) in the equality case.
 
-    None for the symmetric argument window, which has no stated equality
-    characterization.
+    ``sum_j (k_j + i h_j) e_j``, summed row by row in a fixed order.
     """
-    if isinstance(h, UnitVector):
-        return (h.k1 + 1j * h.k2) * h.e
-    if isinstance(h, KCond):
-        return (1.0 / h.K) * h.e
-    if isinstance(h, Disk):
-        return (math.sqrt(1.0 - h.eta1 ** 2) + 1j * math.sqrt(1.0 - h.eta2 ** 2)) * h.e
-    if isinstance(h, MBounds):
-        return (mM_to_k(h.m1, h.M1) + 1j * mM_to_k(h.m2, h.M2)) * h.e
-    if isinstance(h, Orthonormal):
-        coeffs = np.asarray(h.ks) + 1j * np.asarray(h.hs)
-        return coeffs @ h.fam.vectors
-    if isinstance(h, OrthoDisk):
-        coeffs = np.array(
-            [math.sqrt(1.0 - r * r) + 1j * math.sqrt(1.0 - e * e) for r, e in zip(h.rhos, h.etas)]
-        )
-        return coeffs @ h.fam.vectors
-    if isinstance(h, OrthoMBounds):
-        coeffs = np.array(
-            [mM_to_k(m, M) + 1j * mM_to_k(n, N) for m, M, n, N in zip(h.ms, h.Ms, h.ns, h.Ns)]
-        )
-        return coeffs @ h.fam.vectors
-    if isinstance(h, Cone):
-        return np.array([math.cos(h.phi2) + 1j * math.sin(h.phi1)])
-    if isinstance(h, Karamata):
-        return None
-    raise TypeError(f"unknown hypothesis {type(h).__name__}")
+    vectors, ks, hs = family_form(h)
+    return ((ks + 1j * hs)[:, None] * vectors).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +71,7 @@ class BoundReport:
     ``coefficient`` is clamped to [0, 1]; ``coefficient_exceeds_one`` flags
     formulas above 1 (empty hypothesis class).  ``gap = true_norm -
     lower_bound`` and ``equality_residual = ||integral f - equality_vector||``
-    measure the two directions of the sharpness characterization;
-    ``equality_vector`` is None for variants without one.
+    measure the two directions of the sharpness characterization.
     """
 
     hypothesis_tag: str
@@ -151,8 +80,8 @@ class BoundReport:
     lower_bound: float
     true_norm: float
     gap: float
-    equality_vector: np.ndarray | None
-    equality_residual: float | None
+    equality_vector: np.ndarray
+    equality_residual: float
     hypothesis_verified: bool
 
 
@@ -170,13 +99,8 @@ def certify(
     norm_integral = integrate_norm(f, rule)
     true_norm = float(np.linalg.norm(vec))
     lower = coeff * norm_integral
-    direction = equality_direction(h)
-    if direction is None:
-        eq_vec = None
-        residual = None
-    else:
-        eq_vec = direction * norm_integral
-        residual = float(np.linalg.norm(vec - eq_vec))
+    eq_vec = equality_direction(h) * norm_integral
+    residual = float(np.linalg.norm(vec - eq_vec))
     return BoundReport(
         hypothesis_tag=tag_of(h),
         coefficient=coeff,
@@ -192,10 +116,6 @@ def certify(
 
 def equality_holds(report: BoundReport, tol: float = DEFAULT_CHECK_TOL) -> bool:
     """Whether the bound is attained: both gap and residual below tol * max(1, ||integral f||)."""
-    if report.equality_vector is None or report.equality_residual is None:
-        raise ValueError(
-            f"hypothesis {report.hypothesis_tag!r} has no equality characterization"
-        )
     scale = max(1.0, report.true_norm)
     return report.gap <= tol * scale and report.equality_residual <= tol * scale
 
@@ -206,14 +126,11 @@ def karamata_vs_cone(phi1: float, phi2: float) -> tuple[float, float]:
     Returns (cos phi2, sqrt(sin^2 phi1 + cos^2 phi2)); the second never loses
     and is strictly larger whenever phi1 > 0.
     """
-    if not (0.0 <= phi1 <= phi2 < math.pi / 2):
-        raise ValueError(f"need 0 <= phi1 <= phi2 < pi/2, got ({phi1!r}, {phi2!r})")
-    return math.cos(phi2), math.sqrt(math.sin(phi1) ** 2 + math.cos(phi2) ** 2)
+    return math.cos(phi2), coefficient(Cone(phi1, phi2))
 
 
 def bound_report_to_dict(report: BoundReport) -> dict:
     """JSON-ready dict with all fields; the equality vector as [re, im] pairs."""
-    eq = report.equality_vector
     return {
         "hypothesis": report.hypothesis_tag,
         "coefficient": report.coefficient,
@@ -221,7 +138,7 @@ def bound_report_to_dict(report: BoundReport) -> dict:
         "lower_bound": report.lower_bound,
         "true_norm": report.true_norm,
         "gap": report.gap,
-        "equality_vector": None if eq is None else [[float(z.real), float(z.imag)] for z in eq],
+        "equality_vector": [[float(z.real), float(z.imag)] for z in report.equality_vector],
         "equality_residual": report.equality_residual,
         "hypothesis_verified": report.hypothesis_verified,
     }

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, bound_report_to_dict, certify, equality_holds
+from .bounds import bound_report_to_dict, certify, equality_holds
 from .gridfn import (
     GridFunction,
     Interval,
@@ -131,7 +132,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "witness":
         h = _hypothesis_from(doc)
         interval = _interval_from(doc.get("interval"), default=Interval(0.0, 1.0))
-        node_count = int(doc.get("node_count", 33))
+        node_count = _number(doc, "node_count", 33, int)
         w = make_witness(WitnessSpec(hypothesis=h, interval=interval, node_count=node_count))
         out = {
             "schema": SCHEMA,
@@ -147,10 +148,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
     family = FamilySpec(
         hypothesis=h,
         seed=config.seed,
-        nodes=int(gen.get("nodes", 17)),
+        nodes=_number(gen, "nodes", 17, int),
         interval=_interval_from(gen.get("interval"), default=Interval(0.0, 1.0)),
-        rmin=float(gen.get("rmin", 0.5)),
-        rmax=float(gen.get("rmax", 1.5)),
+        rmin=_number(gen, "rmin", 0.5, float),
+        rmax=_number(gen, "rmax", 1.5, float),
     )
     stats = tightness(config.trials, family, h, config.quad)
     out = {"schema": SCHEMA, "kind": "tightness_stats"}
@@ -158,19 +159,21 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return (0 if stats.violations == 0 else 2), out
 
 
+def _number(d: dict, key: str, default, kind):
+    try:
+        return kind(d.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{key}: {exc}") from exc
+
+
 def _interval_from(d, default: Interval) -> Interval:
     if d is None:
         return default
     try:
-        return Interval(float(d["a"]), float(d["b"]))
-    except (KeyError, TypeError) as exc:
+        a, b = float(d["a"]), float(d["b"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"interval: expected an object with fields a, b: {exc!r}") from exc
-
-
-def _equality_label(report: BoundReport, tol: float) -> str:
-    if report.equality_vector is None:
-        return "n/a"
-    return "yes" if equality_holds(report, tol) else "no"
+    return Interval(a, b)
 
 
 def render_table(reports, tol: float = 1e-9) -> str:
@@ -187,7 +190,7 @@ def render_table(reports, tol: float = 1e-9) -> str:
                 format(r.lower_bound, ".9g"),
                 format(r.true_norm, ".9g"),
                 format(r.gap, ".9g"),
-                _equality_label(r, tol),
+                "yes" if equality_holds(r, tol) else "no",
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -201,10 +204,12 @@ def _to_csv(doc: dict) -> str:
     ]
     header = ",".join(k for k, _ in scalars)
     cells = []
-    for _, v in scalars:
+    for k, v in scalars:
         if isinstance(v, bool):
             cells.append("true" if v else "false")
         elif isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"{k}: cannot serialize non-finite number {v!r}")
             cells.append(format(v, ".17g"))
         elif v is None:
             cells.append("")
@@ -216,9 +221,12 @@ def _to_csv(doc: dict) -> str:
 def _write_output(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"output: cannot write {path!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -248,9 +256,6 @@ def main(argv=None) -> int:
         p.add_argument(
             "--quad-refine", type=int, default=8, help="subdivisions per node interval"
         )
-        p.add_argument(
-            "--quad-tol", type=float, default=1e-10, help="refinement comparison tolerance"
-        )
         if needs_bench:
             p.add_argument("--seed", type=int, default=0, help="base seed (trial i uses seed+i)")
             p.add_argument("--trials", type=int, default=100, help="number of trials")
@@ -262,7 +267,7 @@ def main(argv=None) -> int:
             command=args.command,
             input_path=args.input,
             output_path=args.output,
-            quad=QuadratureRule(kind=args.quad_kind, refinement=args.quad_refine, tol=args.quad_tol),
+            quad=QuadratureRule(kind=args.quad_kind, refinement=args.quad_refine),
             tol=args.tol,
             seed=getattr(args, "seed", 0),
             trials=getattr(args, "trials", 100),
@@ -273,16 +278,15 @@ def main(argv=None) -> int:
             report = certify(
                 _function_from(doc_in), _hypothesis_from(doc_in), config.quad, config.tol
             )
-            _write_output(render_table([report], config.tol), config.output_path)
-            return 0 if report.hypothesis_verified else 2
-        status, doc = run(config)
+            status = 0 if report.hypothesis_verified else 2
+            text = render_table([report], config.tol)
+        else:
+            status, doc = run(config)
+            text = _to_csv(doc) if config.output_path.endswith(".csv") else dumps(doc)
+        _write_output(text, config.output_path)
     except (SchemaError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.output_path.endswith(".csv"):
-        _write_output(_to_csv(doc), config.output_path)
-    else:
-        _write_output(dumps(doc), config.output_path)
     return status
 
 

@@ -110,6 +110,10 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match {nodes.size} nodes"
             )
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes: must be finite")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values: must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         if not (np.isclose(nodes[0], self.interval.a, rtol=0, atol=1e-12)

@@ -98,7 +98,7 @@ def _gram_violation(m: np.ndarray, tol: float) -> GramViolation | None:
     dev = np.abs(gram - np.eye(m.shape[0]))
     j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = float(dev[j, k])
-    if worst > tol:
+    if not worst <= tol:  # also catches NaN entries
         return GramViolation(pair=(int(j), int(k)), deviation=worst, tol=tol)
     return None
 

@@ -1,4 +1,4 @@
-"""Pointwise hypothesis classes and their checkers / best-constant estimators.
+"""Pointwise hypothesis classes, their normal form, checkers and estimators.
 
 Every hypothesis is a pointwise condition on f(t) relative to a unit vector e
 (or an orthonormal family), e.g. ``k1*||f|| <= Re<f, e>`` or
@@ -6,16 +6,24 @@ Every hypothesis is a pointwise condition on f(t) relative to a unit vector e
 node and panel midpoint of the interpolated function and reports the worst
 margin; "a.e." semantics are therefore relative to the sampled model.
 
+One normal form covers all nine classes: :func:`family_form` maps each to
+rows e_j of an orthonormal family and constants (k_j, h_j) such that
+``k_j*||f|| <= Re<f, e_j>`` and ``h_j*||f|| <= Im<f, e_j>`` follow
+pointwise.  The single-vector classes are their family counterparts at
+n = 1, the disk and annulus radii give ``k = sqrt(1 - eta^2)`` and
+``k = 2 sqrt(mM)/(M+m)``, the cone is ``e = 1, k = cos phi2, h = sin phi1``,
+the symmetric window is ``KCond(e=1, K=1/cos theta)``, and the K-condition
+is ``k = 1/K, h = 0``.
+
 Checked slacks per variant (negative slack = violated point):
 
 * ``KCond``:       K*Re<f, e> - ||f||
 * ``Karamata``:    min(arg f + theta, theta - arg f), d = 1, needs Re f > 0
-* ``UnitVector``:  min(Re<f, e> - k1*||f||, Im<f, e> - k2*||f||)
-* ``Disk``:        min(eta1 - ||f - e||, eta2 - ||f - i e||)
-* ``MBounds``:     min(Re<M1 e - f, f - m1 e>, Re<M2 i e - f, f - m2 i e>)
-* ``Orthonormal``: min over j of the UnitVector slacks against e_j
-* ``OrthoDisk``:   min over k of the Disk slacks against e_k
-* ``OrthoMBounds``: min over k of the MBounds slacks against e_k
+* ``Orthonormal``: min over j of Re<f, e_j> - k_j*||f||, Im<f, e_j> - h_j*||f||
+* ``OrthoDisk``:   min over k of rho_k - ||f - e_k||, eta_k - ||f - i e_k||
+* ``OrthoMBounds``: min over k of Re<M_k e_k - f, f - m_k e_k>,
+  Re<N_k i e_k - f, f - n_k i e_k>
+* ``UnitVector``, ``Disk``, ``MBounds``: the family slack with n = 1
 * ``Cone``:        min(arg f - phi1, phi2 - arg f), d = 1, needs Re f > 0
 
 Points with f(t) = 0 satisfy the homogeneous conditions trivially and are
@@ -25,7 +33,7 @@ skipped by the angular ones (the constraint is vacuous there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
@@ -43,6 +51,7 @@ __all__ = [
     "OrthoMBounds",
     "Cone",
     "Hypothesis",
+    "family_form",
     "ConditionReport",
     "check",
     "check_points",
@@ -63,7 +72,7 @@ DEFAULT_CHECK_TOL = 1e-9
 
 def _require_unit(e, name: str) -> np.ndarray:
     v = as_vector(e)
-    if abs(norm(v) - 1.0) > UNIT_TOL:
+    if not abs(norm(v) - 1.0) <= UNIT_TOL:  # also rejects NaN
         raise ValueError(f"{name} must be a unit vector, got norm {norm(v)!r}")
     return v
 
@@ -81,8 +90,8 @@ def _require_open01(x: float, name: str) -> float:
 
 
 def _require_pair(m: float, M: float, mname: str, Mname: str) -> None:
-    if not (m > 0 and M >= m):
-        raise ValueError(f"need {Mname} >= {mname} > 0, got {mname}={m!r}, {Mname}={M!r}")
+    if not 0 < m <= M < math.inf:
+        raise ValueError(f"need finite {Mname} >= {mname} > 0, got {mname}={m!r}, {Mname}={M!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +103,8 @@ class KCond:
 
     def __post_init__(self):
         object.__setattr__(self, "e", _require_unit(self.e, "e"))
-        if not self.K >= 1.0:
-            raise ValueError(f"K must be >= 1, got {self.K!r}")
+        if not 1.0 <= self.K < math.inf:
+            raise ValueError(f"K must be finite and >= 1, got {self.K!r}")
 
 
 @dataclass(frozen=True)
@@ -247,13 +256,52 @@ def tag_of(h: Hypothesis) -> str:
     return _TAGS[type(h)]
 
 
+_FAMILIES = (Orthonormal, OrthoDisk, OrthoMBounds)
+
+# the unit vector 1 of C^1 as a one-row family, shared by the angular classes
+_SCALAR_E = np.ones((1, 1), dtype=complex)
+_SCALAR_E.setflags(write=False)
+
+
+def _per_vector(h: Hypothesis) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Unit vectors as rows, and each remaining field as one entry per row.
+
+    UnitVector, Disk and MBounds list their constants in the field order of
+    Orthonormal, OrthoDisk and OrthoMBounds, so each is read as n = 1 there.
+    """
+    vectors = h.fam.vectors if isinstance(h, _FAMILIES) else h.e[None, :]
+    return vectors, [np.array(getattr(h, f.name), dtype=float, ndmin=1) for f in fields(h)[1:]]
+
+
+def family_form(h: Hypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normal form ``(vectors, ks, hs)`` every hypothesis class implies.
+
+    Rows e_j of ``vectors`` are orthonormal and the class implies
+    ``ks[j]*||f|| <= Re<f, e_j>`` and ``hs[j]*||f|| <= Im<f, e_j>`` at every
+    point.  This is the only place that knows each class's derived constants.
+    """
+    if isinstance(h, Cone):
+        return _SCALAR_E, np.array([math.cos(h.phi2)]), np.array([math.sin(h.phi1)])
+    if isinstance(h, Karamata):
+        return _SCALAR_E, np.array([math.cos(h.theta)]), np.zeros(1)
+    if isinstance(h, KCond):
+        return h.e[None, :], np.array([1.0 / h.K]), np.zeros(1)
+    if isinstance(h, (UnitVector, Orthonormal)):
+        vectors, (ks, hs) = _per_vector(h)
+        return vectors, ks, hs
+    if isinstance(h, (Disk, OrthoDisk)):
+        vectors, (rhos, etas) = _per_vector(h)
+        return vectors, np.array([disk_to_k(r) for r in rhos]), np.array([disk_to_k(r) for r in etas])
+    if isinstance(h, (MBounds, OrthoMBounds)):
+        vectors, (ms, Ms, ns, Ns) = _per_vector(h)
+        ks = np.array([mM_to_k(m, M) for m, M in zip(ms, Ms)])
+        return vectors, ks, np.array([mM_to_k(n, N) for n, N in zip(ns, Ns)])
+    raise TypeError(f"unknown hypothesis {type(h).__name__}")
+
+
 def hypothesis_dim(h: Hypothesis) -> int:
     """Ambient dimension required of f (angular variants are scalar-only)."""
-    if isinstance(h, (Cone, Karamata)):
-        return 1
-    if isinstance(h, (Orthonormal, OrthoDisk, OrthoMBounds)):
-        return h.fam.dim
-    return h.e.size
+    return family_form(h)[0].shape[1]
 
 
 @dataclass(frozen=True)
@@ -298,43 +346,9 @@ def _slacks(values: np.ndarray, h: Hypothesis) -> tuple[np.ndarray, np.ndarray, 
     norms = np.linalg.norm(values, axis=1)
     keep = np.ones(values.shape[0], dtype=bool)
     note = None
-    if isinstance(h, UnitVector):
-        ip = _inner_with(values, h.e)
-        slack = np.minimum(ip.real - h.k1 * norms, ip.imag - h.k2 * norms)
-    elif isinstance(h, KCond):
+    if isinstance(h, KCond):
         ip = _inner_with(values, h.e)
         slack = h.K * ip.real - norms
-    elif isinstance(h, Disk):
-        slack = np.minimum(
-            h.eta1 - np.linalg.norm(values - h.e, axis=1),
-            h.eta2 - np.linalg.norm(values - 1j * h.e, axis=1),
-        )
-    elif isinstance(h, MBounds):
-        slack = np.minimum(
-            _ball_slack_sq(values, h.e, h.m1, h.M1),
-            _ball_slack_sq(values, 1j * h.e, h.m2, h.M2),
-        )
-    elif isinstance(h, Orthonormal):
-        ips = values @ h.fam.vectors.conj().T
-        ks = np.asarray(h.ks)
-        hs = np.asarray(h.hs)
-        slack = np.minimum(
-            np.min(ips.real - norms[:, None] * ks[None, :], axis=1),
-            np.min(ips.imag - norms[:, None] * hs[None, :], axis=1),
-        )
-    elif isinstance(h, OrthoDisk):
-        rhos = np.asarray(h.rhos)
-        etas = np.asarray(h.etas)
-        d_re = np.linalg.norm(values[:, None, :] - h.fam.vectors[None, :, :], axis=2)
-        d_im = np.linalg.norm(values[:, None, :] - 1j * h.fam.vectors[None, :, :], axis=2)
-        slack = np.minimum(np.min(rhos - d_re, axis=1), np.min(etas - d_im, axis=1))
-    elif isinstance(h, OrthoMBounds):
-        cols = []
-        for k in range(h.fam.n):
-            e_k = h.fam.vectors[k]
-            cols.append(_ball_slack_sq(values, e_k, h.ms[k], h.Ms[k]))
-            cols.append(_ball_slack_sq(values, 1j * e_k, h.ns[k], h.Ns[k]))
-        slack = np.min(np.column_stack(cols), axis=1)
     elif isinstance(h, Cone):
         slack, keep, bad = _angular_slacks(values, h.phi1, h.phi2)
         if bad:
@@ -343,6 +357,25 @@ def _slacks(values: np.ndarray, h: Hypothesis) -> tuple[np.ndarray, np.ndarray, 
         slack, keep, bad = _angular_slacks(values, -h.theta, h.theta)
         if bad:
             note = "Re f(t) <= 0 at a checked point; argument window lies in the right half-plane"
+    elif isinstance(h, (UnitVector, Orthonormal)):
+        vectors, (ks, hs) = _per_vector(h)
+        ips = values @ vectors.conj().T
+        slack = np.minimum(
+            np.min(ips.real - norms[:, None] * ks[None, :], axis=1),
+            np.min(ips.imag - norms[:, None] * hs[None, :], axis=1),
+        )
+    elif isinstance(h, (Disk, OrthoDisk)):
+        vectors, (rhos, etas) = _per_vector(h)
+        d_re = np.linalg.norm(values[:, None, :] - vectors[None, :, :], axis=2)
+        d_im = np.linalg.norm(values[:, None, :] - 1j * vectors[None, :, :], axis=2)
+        slack = np.minimum(np.min(rhos - d_re, axis=1), np.min(etas - d_im, axis=1))
+    elif isinstance(h, (MBounds, OrthoMBounds)):
+        vectors, (ms, Ms, ns, Ns) = _per_vector(h)
+        cols = []
+        for k, e_k in enumerate(vectors):
+            cols.append(_ball_slack_sq(values, e_k, ms[k], Ms[k]))
+            cols.append(_ball_slack_sq(values, 1j * e_k, ns[k], Ns[k]))
+        slack = np.min(np.column_stack(cols), axis=1)
     else:
         raise TypeError(f"unknown hypothesis {type(h).__name__}")
     return slack, keep, note
@@ -472,103 +505,68 @@ def _pairs(vec: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _vec_from_pairs(pairs, field: str) -> np.ndarray:
+def _vec_from_pairs(pairs) -> np.ndarray:
     try:
         return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"{field}: expected a list of [re, im] pairs") from exc
+    except (TypeError, IndexError, KeyError) as exc:
+        raise ValueError("expected a list of [re, im] pairs") from exc
+
+
+def _wire_key(name: str) -> str:
+    return "vectors" if name == "fam" else name
 
 
 def hypothesis_to_dict(h: Hypothesis) -> dict:
-    """Tagged JSON-ready dict, inverse of :func:`hypothesis_from_dict`."""
-    tag = tag_of(h)
-    if isinstance(h, UnitVector):
-        return {"type": tag, "e": _pairs(h.e), "k1": h.k1, "k2": h.k2}
-    if isinstance(h, KCond):
-        return {"type": tag, "e": _pairs(h.e), "K": h.K}
-    if isinstance(h, Disk):
-        return {"type": tag, "e": _pairs(h.e), "eta1": h.eta1, "eta2": h.eta2}
-    if isinstance(h, MBounds):
-        return {"type": tag, "e": _pairs(h.e), "m1": h.m1, "M1": h.M1, "m2": h.m2, "M2": h.M2}
-    if isinstance(h, Orthonormal):
-        return {
-            "type": tag,
-            "vectors": [_pairs(v) for v in h.fam.vectors],
-            "ks": list(h.ks),
-            "hs": list(h.hs),
-        }
-    if isinstance(h, OrthoDisk):
-        return {
-            "type": tag,
-            "vectors": [_pairs(v) for v in h.fam.vectors],
-            "rhos": list(h.rhos),
-            "etas": list(h.etas),
-        }
-    if isinstance(h, OrthoMBounds):
-        return {
-            "type": tag,
-            "vectors": [_pairs(v) for v in h.fam.vectors],
-            "ms": list(h.ms),
-            "Ms": list(h.Ms),
-            "ns": list(h.ns),
-            "Ns": list(h.Ns),
-        }
-    if isinstance(h, Cone):
-        return {"type": tag, "phi1": h.phi1, "phi2": h.phi2}
-    if isinstance(h, Karamata):
-        return {"type": tag, "theta": h.theta}
-    raise TypeError(f"unknown hypothesis {type(h).__name__}")
+    """Tagged JSON-ready dict, inverse of :func:`hypothesis_from_dict`.
+
+    Keys follow the dataclass fields in order: ``e`` as [re, im] pairs,
+    ``fam`` as ``"vectors"`` (a list of such vectors), tuples as lists.
+    """
+    doc = {"type": tag_of(h)}
+    for f in fields(h):
+        value = getattr(h, f.name)
+        if f.name == "e":
+            value = _pairs(value)
+        elif f.name == "fam":
+            value = [_pairs(v) for v in value.vectors]
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[_wire_key(f.name)] = value
+    return doc
 
 
-def _family_from(d: dict) -> OrthonormalFamily:
-    if "vectors" not in d:
-        raise ValueError("hypothesis.vectors: missing")
-    rows = [_vec_from_pairs(row, "vectors") for row in d["vectors"]]
-    return OrthonormalFamily(vectors=np.array(rows))
+def _field_from(f: Field, raw):
+    if f.name == "e":
+        return _vec_from_pairs(raw)
+    if f.name == "fam":
+        return OrthonormalFamily(vectors=np.array([_vec_from_pairs(row) for row in raw]))
+    if f.type == "tuple":  # annotations are strings under `from __future__ import annotations`
+        return tuple(float(x) for x in raw)
+    return float(raw)
+
+
+_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
 
 
 def hypothesis_from_dict(d: dict) -> Hypothesis:
-    """Parse the tagged wire format; raises ValueError naming the bad field."""
+    """Parse the tagged wire format; raises ValueError naming the bad field.
+
+    A missing, malformed or wrong-typed field is reported as
+    ``hypothesis.<key>: ...``; parameter checks of the class follow.
+    """
     if not isinstance(d, dict) or "type" not in d:
         raise ValueError("hypothesis.type: missing")
     tag = d["type"]
-    try:
-        if tag == "unit_vector":
-            return UnitVector(e=_vec_from_pairs(d["e"], "e"), k1=float(d["k1"]), k2=float(d["k2"]))
-        if tag == "k_cond":
-            return KCond(e=_vec_from_pairs(d["e"], "e"), K=float(d["K"]))
-        if tag == "disk":
-            return Disk(e=_vec_from_pairs(d["e"], "e"), eta1=float(d["eta1"]), eta2=float(d["eta2"]))
-        if tag == "m_bounds":
-            return MBounds(
-                e=_vec_from_pairs(d["e"], "e"),
-                m1=float(d["m1"]), M1=float(d["M1"]),
-                m2=float(d["m2"]), M2=float(d["M2"]),
-            )
-        if tag == "orthonormal":
-            return Orthonormal(
-                fam=_family_from(d),
-                ks=tuple(float(x) for x in d["ks"]),
-                hs=tuple(float(x) for x in d["hs"]),
-            )
-        if tag == "ortho_disk":
-            return OrthoDisk(
-                fam=_family_from(d),
-                rhos=tuple(float(x) for x in d["rhos"]),
-                etas=tuple(float(x) for x in d["etas"]),
-            )
-        if tag == "ortho_m_bounds":
-            return OrthoMBounds(
-                fam=_family_from(d),
-                ms=tuple(float(x) for x in d["ms"]),
-                Ms=tuple(float(x) for x in d["Ms"]),
-                ns=tuple(float(x) for x in d["ns"]),
-                Ns=tuple(float(x) for x in d["Ns"]),
-            )
-        if tag == "cone":
-            return Cone(phi1=float(d["phi1"]), phi2=float(d["phi2"]))
-        if tag == "karamata":
-            return Karamata(theta=float(d["theta"]))
-    except KeyError as exc:
-        raise ValueError(f"hypothesis.{exc.args[0]}: missing for type {tag!r}") from exc
-    raise ValueError(f"hypothesis.type: unknown tag {tag!r}")
+    cls = _CLASSES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"hypothesis.type: unknown tag {tag!r}")
+    kwargs = {}
+    for f in fields(cls):
+        key = _wire_key(f.name)
+        if key not in d:
+            raise ValueError(f"hypothesis.{key}: missing for type {tag!r}")
+        try:
+            kwargs[f.name] = _field_from(f, d[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"hypothesis.{key}: {exc}") from exc
+    return cls(**kwargs)

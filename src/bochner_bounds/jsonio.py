@@ -26,7 +26,10 @@ def _render(obj, parts: list) -> None:
                 parts.append(", ")
             parts.append(json.dumps(str(key)))
             parts.append(": ")
-            _render(val, parts)
+            try:
+                _render(val, parts)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import certify, coefficient
+from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
 from .hypotheses import (
     Cone,
@@ -81,9 +81,10 @@ class WitnessSpec:
 def make_witness(spec: WitnessSpec) -> GridFunction:
     """Constant function attaining the bound of the given hypothesis exactly.
 
-    Supported: UnitVector (k1^2 + k2^2 = 1), Orthonormal (sum k^2 + h^2 = 1),
-    Cone (phi1 = phi2).  Anything else, or a hypothesis off the coefficient-1
-    surface, raises ValueError reporting the measured coefficient.
+    Its value is the equality direction.  Supported: UnitVector (k1^2 + k2^2
+    = 1), Orthonormal (sum k^2 + h^2 = 1), Cone (phi1 = phi2).  Anything else,
+    or a hypothesis off the coefficient-1 surface, raises ValueError
+    reporting the measured coefficient.
     """
     h = spec.hypothesis
     c = coefficient(h)
@@ -91,17 +92,11 @@ def make_witness(spec: WitnessSpec) -> GridFunction:
         raise ValueError(
             f"witness requires a coefficient-1 hypothesis, got coefficient {c!r}"
         )
-    if isinstance(h, UnitVector):
-        value = (h.k1 + 1j * h.k2) * h.e
-    elif isinstance(h, Orthonormal):
-        value = (np.asarray(h.ks) + 1j * np.asarray(h.hs)) @ h.fam.vectors
-    elif isinstance(h, Cone):
-        if abs(h.phi1 - h.phi2) > COEFF_SURFACE_TOL:
-            raise ValueError(f"cone witness requires phi1 = phi2, got ({h.phi1!r}, {h.phi2!r})")
-        value = np.array([math.cos(h.phi1) + 1j * math.sin(h.phi1)])
-    else:
+    if not isinstance(h, (UnitVector, Orthonormal, Cone)):
         raise ValueError(f"no witness construction for hypothesis {tag_of(h)!r}")
-    return _constant(spec.interval, spec.node_count, value)
+    if isinstance(h, Cone) and abs(h.phi1 - h.phi2) > COEFF_SURFACE_TOL:
+        raise ValueError(f"cone witness requires phi1 = phi2, got ({h.phi1!r}, {h.phi2!r})")
+    return _constant(spec.interval, spec.node_count, equality_direction(h))
 
 
 def _widened(h: Hypothesis, eps: float) -> Hypothesis:
@@ -377,6 +372,10 @@ class FamilySpec:
     interval: Interval = Interval(0.0, 1.0)
     rmin: float = 0.5
     rmax: float = 1.5
+
+    def __post_init__(self):
+        if not 0.0 < self.rmin <= self.rmax < math.inf:
+            raise ValueError(f"need finite 0 < rmin <= rmax, got ({self.rmin!r}, {self.rmax!r})")
 
 
 def generate(spec: FamilySpec, trial: int = 0) -> GridFunction:

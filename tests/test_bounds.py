@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bochner_bounds.bounds import (
     bound_report_to_dict,
     certify,
     coefficient,
+    equality_direction,
     equality_holds,
     karamata_vs_cone,
 )
@@ -23,7 +26,9 @@ from bochner_bounds.hypotheses import (
     OrthoDisk,
     OrthoMBounds,
     UnitVector,
+    check,
 )
+from bochner_bounds.jsonio import dumps
 
 E1 = np.array([1.0 + 0j])
 E2 = np.eye(2, dtype=complex)
@@ -67,6 +72,42 @@ def test_orthonormal_single_vector_collapses_exactly():
     assert coefficient(
         OrthoMBounds(fam, ms=(0.2,), Ms=(3.0,), ns=(0.3,), Ns=(2.0,))
     ) == coefficient(MBounds(E2[0], 0.2, 3.0, 0.3, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_single_vector_classes_report_like_their_n1_families(d, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=d) + 1j * rng.normal(size=d)
+    e /= np.linalg.norm(e)
+    fam = OrthonormalFamily(e[None, :])
+    k1, k2 = rng.uniform(0.0, 0.7, 2)
+    eta1, eta2 = rng.uniform(0.05, 0.99, 2)
+    m1, m2 = rng.uniform(0.05, 1.0, 2)
+    M1, M2 = m1 + rng.uniform(0.0, 4.0), m2 + rng.uniform(0.0, 4.0)
+    pairs = [
+        (UnitVector(e, k1, k2), Orthonormal(fam, ks=(k1,), hs=(k2,))),
+        (Disk(e, eta1, eta2), OrthoDisk(fam, rhos=(eta1,), etas=(eta2,))),
+        (MBounds(e, m1, M1, m2, M2), OrthoMBounds(fam, ms=(m1,), Ms=(M1,), ns=(m2,), Ns=(M2,))),
+    ]
+    g = rng.normal(size=(9, d)) + 1j * rng.normal(size=(9, d))
+    f = GridFunction(Interval(0, 1), np.linspace(0, 1, 9), 0.5 * (1 + 1j) * e + 0.2 * g)
+    for single, family in pairs:
+        assert check(f, single) == check(f, family)
+        reports = [bound_report_to_dict(certify(f, h)) for h in (single, family)]
+        for doc in reports:
+            del doc["hypothesis"]
+        assert dumps(reports[0]) == dumps(reports[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, math.pi / 2, exclude_max=True), st.floats(0.0, 1.0))
+def test_cone_is_a_unit_vector_class_in_normal_form(phi2, frac):
+    phi1 = frac * phi2
+    cone = Cone(phi1, phi2)
+    unit = UnitVector(E1, math.cos(phi2), math.sin(phi1))
+    assert coefficient(cone) == coefficient(unit)
+    assert np.array_equal(equality_direction(cone), equality_direction(unit))
 
 
 def test_orthonormal_zero_imaginary_part_matches_real_only_formula():
@@ -113,13 +154,26 @@ def test_kcond_equality_case():
     assert equality_holds(report, tol=1e-12)
 
 
-def test_karamata_has_no_equality_characterization():
-    f = sample(lambda t: cmath.exp(1j * (t - 0.5)), Interval(0, 1), 33)
-    report = certify(f, Karamata(0.6))
+def test_karamata_equality_characterization():
+    # Karamata(theta) is KCond(e=1, K=1/cos theta): equality iff the integral
+    # is cos(theta) * integral |f|, e.g. equal weight on exp(+i theta) and
+    # exp(-i theta); the arc exp(i(t - 0.5)) stays inside the window but
+    # spreads over it, so it falls short
+    theta = 0.6
+    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    f = GridFunction(
+        Interval(0, 1), np.linspace(0, 1, 5), np.exp(1j * theta * signs)[:, None], "constleft"
+    )
+    report = certify(f, Karamata(theta))
     assert report.hypothesis_verified
-    assert report.equality_vector is None
-    with pytest.raises(ValueError, match="equality"):
-        equality_holds(report)
+    assert report.equality_vector == pytest.approx([math.cos(theta)], abs=1e-15)
+    assert equality_holds(report, tol=1e-12)
+    arc = sample(lambda t: cmath.exp(1j * (t - 0.5)), Interval(0, 1), 33)
+    report = certify(arc, Karamata(theta))
+    assert report.hypothesis_verified
+    assert report.gap > 0.1
+    assert report.equality_residual > 0.1
+    assert not equality_holds(report)
 
 
 def test_karamata_vs_cone_examples():

@@ -88,6 +88,40 @@ def test_error_messages_name_the_offending_field(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, capsys):
+    hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    nan_values = constant_doc(1.0 + 0j, hyp)
+    nan_values["function"]["values"][2] = [[math.nan, 0.0]]
+    m_bounds = {"type": "m_bounds", "e": [[1, 0]], "m1": 0.5, "M1": math.inf, "m2": 0.5, "M2": 2.0}
+    cases = [
+        (nan_values, ("check", "certify", "integrate"), "values"),
+        # finite samples whose norms overflow to inf
+        (constant_doc(1e308 + 0j, hyp), ("check", "certify", "integrate"), "non-finite"),
+        (constant_doc(1.0 + 0j, m_bounds), ("check", "certify"), "M1"),
+        (constant_doc(1.0 + 0j, {"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5,
+                                 "hs": [0.1]}), ("check", "certify"), "hypothesis.ks"),
+        (constant_doc(1.0 + 0j, {"type": "k_cond", "e": [[1, 0]], "K": [2]}),
+         ("check", "certify"), "hypothesis.K"),
+    ]
+    witness_request = {"schema": SCHEMA, "hypothesis": hyp, "node_count": [33]}
+    cases.append((witness_request, ("witness",), "node_count"))
+    bench_request = {"schema": SCHEMA, "hypothesis": hyp, "generator": {"rmin": math.inf}}
+    cases.append((bench_request, ("bench",), "rmin"))
+    cases.append((dict(witness_request, node_count=33, interval={"a": "x", "b": 1}),
+                  ("witness",), "interval"))
+    for i, (doc, commands, field) in enumerate(cases):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc).replace("Infinity", "1e999"), encoding="utf-8")
+        for command in commands:
+            assert main([command, "--input", str(path)]) == 1, (i, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert field in err, (i, command, err)
+    unwritable = str(tmp_path / "missing_dir" / "out.json")
+    assert main(["integrate", "--input", str(INPUTS / "disk_lens.json"), "--output", unwritable]) == 1
+    assert capsys.readouterr().err.startswith("error: output: ")
+
+
 def test_witness_round_trip_through_files(tmp_path, capsys):
     out = tmp_path / "witness.json"
     status = main(["witness", "--input", str(INPUTS / "witness_unit_vector.json"),
@@ -161,7 +195,7 @@ def test_render_table_orders_and_labels():
     assert lines[0].split()[0] == "hypothesis"
     assert lines[1].startswith("cone")  # sorted by tag
     assert lines[2].startswith("karamata")
-    assert lines[2].rstrip().endswith("n/a")
+    assert lines[2].rstrip().endswith("no")
     # the cone coefficient beats the symmetric-window baseline on the same data
     assert float(lines[1].split()[1]) > float(lines[2].split()[1])
 

@@ -354,3 +354,7 @@ def test_hypothesis_from_dict_errors_name_fields():
         hypothesis_from_dict({"type": "unit_vector", "e": [[1, 0]], "k1": 0.5})
     with pytest.raises(ValueError, match="type"):
         hypothesis_from_dict({"k1": 0.5})
+    with pytest.raises(ValueError, match=r"hypothesis\.ks"):
+        hypothesis_from_dict({"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5, "hs": [0.1]})
+    with pytest.raises(ValueError, match=r"hypothesis\.K"):
+        hypothesis_from_dict({"type": "k_cond", "e": [[1, 0]], "K": [2]})
