@@ -2,9 +2,11 @@
 """End-to-end CLI exercise over the bundled inputs.
 
 Verifies the exit-code contract (0 verified / 2 falsified / 1 malformed),
-the witness -> certify round trip, and byte-stable JSON output.  Any
-traceback on stderr counts as a failure.  Prints one line per check and
-exits nonzero if any check failed.
+the witness -> certify round trip, byte-stable JSON output, named errors
+for non-integer, too small and oversized counts, and a nonnegative
+triangle slack from ``integrate`` on every bundled function under both the
+default rule and ``--quad-refine 1``.  Any traceback on stderr counts as a
+failure.  Prints one line per check and exits nonzero if any check failed.
 """
 
 from __future__ import annotations
@@ -122,12 +124,39 @@ def main() -> int:
                     r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
                 )
 
-        r = run("integrate", "--input", str(inputs / "disk_lens.json"))
-        doc = json.loads(r.stdout)
-        good &= expect(
-            "integrate reports nonnegative triangle slack",
-            r.returncode == 0 and doc["triangle_slack"] >= -1e-12,
-        )
+        hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.6, "k2": 0.8}
+        count_cases = []
+        for count in (2.9, True, 1, 10**11):
+            count_cases.append(({"node_count": count}, "witness", [], "node_count"))
+            count_cases.append(({"generator": {"nodes": count}}, "bench", [], "generator.nodes"))
+        count_cases.append(({}, "bench", ["--trials", str(10**11)], "trials"))
+        for i, (fields, command, flags, field) in enumerate(count_cases):
+            path = tmpdir / f"count_{i}.json"
+            path.write_text(
+                json.dumps({"schema": "bochner-bounds/1", "hypothesis": hyp, **fields}),
+                encoding="utf-8",
+            )
+            r = run(command, "--input", str(path), *flags)
+            good &= expect(
+                f"{command} with {json.dumps(fields or flags)} exits 1 naming {field}",
+                r.returncode == 1
+                and r.stderr.startswith(f"error: {field}: ")
+                and "Traceback" not in r.stderr,
+                r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
+            )
+
+        for path in sorted(inputs.glob("*.json")):
+            if "function" not in json.loads(path.read_text()):
+                continue
+            for flags in ([], ["--quad-refine", "1"]):
+                r = run("integrate", "--input", str(path), *flags)
+                doc = json.loads(r.stdout) if r.returncode == 0 else {}
+                good &= expect(
+                    f"integrate {path.name} {' '.join(flags) or 'default rule'}: "
+                    "triangle slack >= 0",
+                    r.returncode == 0 and doc["triangle_slack"] >= 0,
+                    f"triangle_slack={doc.get('triangle_slack')!r}",
+                )
 
     good &= expect("no traceback on stderr", not TRACEBACKS, ", ".join(TRACEBACKS))
     print("round trip:", "all checks passed" if good else "FAILURES above")

@@ -12,7 +12,7 @@ from .gridfn import (
     gridfunction_to_dict,
     integrate_norm,
     integrate_vector,
-    refine_until,
+    panel_norm_integrals,
     sample,
 )
 from .hilbert import (

@@ -35,6 +35,7 @@ __all__ = ["RunConfig", "run", "render_table", "main"]
 
 SCHEMA = "bochner-bounds/1"
 COMMANDS = ("check", "certify", "witness", "bench", "integrate")
+MAX_COUNT = 10 ** 7  # upper bound on node counts and trials, checked before allocating
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_COUNT:
+            raise ValueError(f"trials: must be between 1 and {MAX_COUNT}, got {self.trials}")
 
 
 def _load_document(path: str) -> dict:
@@ -132,7 +133,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "witness":
         h = _hypothesis_from(doc)
         interval = _interval_from(doc.get("interval"), default=Interval(0.0, 1.0))
-        node_count = _number(doc, "node_count", 33, int)
+        node_count = _node_count(doc, "node_count", 33)
         w = make_witness(WitnessSpec(hypothesis=h, interval=interval, node_count=node_count))
         out = {
             "schema": SCHEMA,
@@ -148,10 +149,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
     family = FamilySpec(
         hypothesis=h,
         seed=config.seed,
-        nodes=_number(gen, "nodes", 17, int),
+        nodes=_node_count(gen, "generator.nodes", 17),
         interval=_interval_from(gen.get("interval"), default=Interval(0.0, 1.0)),
-        rmin=_number(gen, "rmin", 0.5, float),
-        rmax=_number(gen, "rmax", 1.5, float),
+        rmin=_number(gen, "rmin", 0.5),
+        rmax=_number(gen, "rmax", 1.5),
     )
     stats = tightness(config.trials, family, h, config.quad)
     out = {"schema": SCHEMA, "kind": "tightness_stats"}
@@ -159,9 +160,17 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return (0 if stats.violations == 0 else 2), out
 
 
-def _number(d: dict, key: str, default, kind):
+def _node_count(d: dict, field: str, default: int) -> int:
+    """The JSON integer (not a bool or a float) at ``field``'s last key, in [2, MAX_COUNT]."""
+    value = d.get(field.rsplit(".", 1)[-1], default)
+    if isinstance(value, bool) or not isinstance(value, int) or not 2 <= value <= MAX_COUNT:
+        raise SchemaError(f"{field}: expected an integer from 2 to {MAX_COUNT}, got {value!r}")
+    return value
+
+
+def _number(d: dict, key: str, default: float) -> float:
     try:
-        return kind(d.get(key, default))
+        return float(d.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{key}: {exc}") from exc
 
@@ -253,9 +262,8 @@ def main(argv=None) -> int:
             choices=("composite-simpson", "trapezoid-on-nodes"),
             help="quadrature rule",
         )
-        p.add_argument(
-            "--quad-refine", type=int, default=8, help="subdivisions per node interval"
-        )
+        p.add_argument("--quad-refine", type=int, default=8, help="1: integrate the node "
+                       "samples; larger: integrate the interpolated model exactly")
         if needs_bench:
             p.add_argument("--seed", type=int, default=0, help="base seed (trial i uses seed+i)")
             p.add_argument("--trials", type=int, default=100, help="number of trials")

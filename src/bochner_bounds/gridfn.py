@@ -3,37 +3,31 @@
 A :class:`GridFunction` stores node values of f: [a, b] -> C^d together with
 an interpolation mode ("linear" or "constleft").  Two integrals are needed
 downstream: the vector integral of f and the scalar integral of ||f||.  Both
-are computed with nonnegative quadrature weights over a common sample grid,
-which makes the discrete triangle inequality
+use only what is stored, the nodes and their values:
+
+* ``constleft``: the model is constant per half-open panel, so both are
+  exact rectangles on the left node values, under every rule.
+* ``composite-simpson`` with ``refinement == 1`` on a uniform grid of at
+  least two panels: classic composite Simpson on the node samples (an odd
+  panel count ends with the 3/8 rule), the "smooth truth" mode.
+* ``trapezoid-on-nodes`` with ``refinement == 1``: the trapezoid rule on
+  the node samples of f and of ||f||.
+* every other ``linear`` case: the exact integrals of the piecewise-linear
+  model, whatever the refinement.  The vector integral is the trapezoid
+  rule; the norm integral sums :func:`panel_norm_integrals`.
+
+All weights are nonnegative and every exact panel norm integral is at least
+the norm of the panel's midpoint, so the discrete triangle inequality
 
     ||integrate_vector(f)|| <= integrate_norm(f)
 
-hold structurally, not just up to quadrature error.
-
-Quadrature sample grids:
-
-* ``trapezoid-on-nodes``: each node interval is split into ``refinement``
-  uniform subintervals (interior points interpolated) and the trapezoid rule
-  is applied; ``refinement=1`` is the plain trapezoid rule on the nodes.
-* ``composite-simpson`` with ``refinement=1`` on a uniform grid: classic
-  composite Simpson directly on the node samples (each stencil spans a pair
-  of node intervals, so the per-stencil subinterval count is even); an odd
-  interval count is finished with the 3/8 rule.  This is the high-accuracy
-  mode: node samples are the only true samples of the underlying function.
-* ``composite-simpson`` with ``refinement>=2`` (rounded up to even): Simpson
-  per node interval over its uniform subdivision.  Interior samples come
-  from the interpolant, so refining converges to the integrals of the
-  interpolated model; useful as a self-consistency / Richardson control.
-
-Both rules are exact for the stored model: trapezoid and Simpson integrate
-the piecewise-linear interpolant's vector integral exactly, and "constleft"
-panels are integrated as exact rectangles.
+holds structurally under every rule, not just up to quadrature error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +41,7 @@ __all__ = [
     "evaluate_many",
     "integrate_vector",
     "integrate_norm",
-    "refine_until",
+    "panel_norm_integrals",
     "gridfunction_to_dict",
     "gridfunction_from_dict",
 ]
@@ -71,20 +65,16 @@ class Interval:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Quadrature selection: kind, subdivisions per node interval, and the
-    tolerance used by :func:`refine_until` for successive-estimate comparison."""
+    """Quadrature kind and refinement; the module docstring says what each rule does."""
 
     kind: str = "composite-simpson"
     refinement: int = 8
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in ("trapezoid-on-nodes", "composite-simpson"):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.refinement < 1:
             raise ValueError("refinement must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("quadrature tol must be > 0")
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -167,16 +157,12 @@ def _is_uniform(nodes: np.ndarray) -> bool:
 
 
 def _simpson_weights_uniform(n_intervals: int, h: float) -> np.ndarray:
-    """Nonnegative composite Simpson weights for n_intervals uniform steps.
+    """Nonnegative composite Simpson weights for n_intervals >= 2 uniform steps.
 
-    Even counts use the classic 1-4-2-...-4-1 pattern; odd counts >= 3 finish
-    with Simpson 3/8 on the last three steps; a single step falls back to the
-    trapezoid (nothing better exists on two samples).
+    Even counts use the classic 1-4-2-...-4-1 pattern; odd counts finish
+    with Simpson 3/8 on the last three steps.
     """
     w = np.zeros(n_intervals + 1)
-    if n_intervals == 1:
-        w[:] = h / 2.0
-        return w
     main = n_intervals if n_intervals % 2 == 0 else n_intervals - 3
     if main > 0:
         w[0] += h / 3.0
@@ -189,78 +175,80 @@ def _simpson_weights_uniform(n_intervals: int, h: float) -> np.ndarray:
     return w
 
 
-def _even(m: int) -> int:
-    return m if m % 2 == 0 else m + 1
+def _simpson_on_nodes(f: GridFunction, rule: QuadratureRule) -> bool:
+    simpson = rule.kind == "composite-simpson" and rule.refinement == 1
+    return simpson and f.nodes.size >= 3 and _is_uniform(f.nodes)
 
 
-def _sample_grid(f: GridFunction, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Common sample points and nonnegative weights for both integrals."""
+def _integrates_model(f: GridFunction, rule: QuadratureRule) -> bool:
+    """Whether ``rule`` takes the exact integrals of f's piecewise-linear model."""
+    trapezoid = rule.kind == "trapezoid-on-nodes" and rule.refinement == 1
+    return f.interpolation == "linear" and not (trapezoid or _simpson_on_nodes(f, rule))
+
+
+def _node_weights(f: GridFunction, rule: QuadratureRule) -> np.ndarray:
+    """Nonnegative weights on the first ``w.size`` nodes of f."""
     nodes = f.nodes
     if f.interpolation == "constleft":
-        # the model is constant per half-open panel: rectangles are exact
-        return nodes[:-1], np.diff(nodes)
-    n_panels = nodes.size - 1
-    if rule.kind == "composite-simpson":
-        if rule.refinement == 1 and _is_uniform(nodes) and n_panels >= 2:
-            h = (nodes[-1] - nodes[0]) / n_panels
-            return nodes, _simpson_weights_uniform(n_panels, h)
-        m = max(2, _even(rule.refinement))
-    else:
-        m = rule.refinement
-    ts = np.empty(n_panels * m + 1)
-    weights = np.zeros(n_panels * m + 1)
-    ts[0] = nodes[0]
-    for k in range(n_panels):
-        sub = np.linspace(nodes[k], nodes[k + 1], m + 1)
-        ts[k * m + 1 : (k + 1) * m + 1] = sub[1:]
-        h = (nodes[k + 1] - nodes[k]) / m
-        if rule.kind == "composite-simpson":
-            w = _simpson_weights_uniform(m, h)
-        else:
-            w = np.full(m + 1, h)
-            w[0] = w[-1] = h / 2.0
-        weights[k * m : (k + 1) * m + 1] += w
-    return ts, weights
+        return np.diff(nodes)  # the model is constant per panel: rectangles are exact
+    if _simpson_on_nodes(f, rule):
+        return _simpson_weights_uniform(nodes.size - 1, (nodes[-1] - nodes[0]) / (nodes.size - 1))
+    half = np.diff(nodes) / 2.0  # trapezoid: half of each adjacent panel
+    w = np.zeros(nodes.size)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """``integral_0^1 ||x0_k + s (x1_k - x0_k)|| ds`` for each row pair, in closed form.
+
+    With v = x1 - x0, L = ||v||, n_i = ||x_i||, p_i = Re<x_i, v>/L, h the
+    distance from 0 to the panel's line, and the panel oriented so that
+    p0 + p1 >= 0:
+
+        I = (n0+n1)/4 + (p0+p1)^2 / (4(n0+n1))
+            + h^2/(2L) log1p(L(n0+n1+p0+p1) / ((n0+n1)(p0+n0))),
+
+    with p0 + n0 = h^2/(n0 - p0) when p0 < 0, so nothing cancels; the log
+    term is 0 when p0 + n0 is, and I = n0 when L = 0.  h is taken from the
+    midpoint, so I is bit-for-bit symmetric in the endpoints.  I is clamped
+    to at least the midpoint's norm (Jensen), so the triangle inequality of
+    the integrals holds by construction.
+    """
+    a = np.ascontiguousarray(x0, dtype=complex)
+    b = np.ascontiguousarray(x1, dtype=complex)
+    mid = 0.5 * a + 0.5 * b
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    n0, n_sum = np.minimum(na, nb), na + nb
+    # C^d as R^2d: Re<x, y> is the dot product of the float views
+    v = b.view(float) - a.view(float)
+    length = np.linalg.norm(v, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = v / length[:, None]
+        pm = (mid.view(float) * u).sum(axis=1)  # (p0 + p1) / 2 before orienting
+        h2 = np.square(np.linalg.norm(mid.view(float) - pm[:, None] * u, axis=1))
+        pm = np.abs(pm)
+        p0 = pm - length / 2.0
+        base = np.where(p0 >= 0, p0 + n0, h2 / (n0 - p0))
+        ratio = length * (n_sum + 2.0 * pm) / (n_sum * base)
+        log_term = np.where(base > 0, h2 / (2.0 * length) * np.log1p(ratio), 0.0)
+        exact = np.where(length > 0, n_sum / 4.0 + pm * pm / n_sum + log_term, na)
+    return np.maximum(exact, np.linalg.norm(mid, axis=1))
 
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
-    """Quadrature approximation of the componentwise integral of f."""
-    ts, w = _sample_grid(f, rule)
-    return w @ evaluate_many(f, ts)
+    """Componentwise integral of f under ``rule``."""
+    w = _node_weights(f, rule)
+    return w @ f.values[: w.size]
 
 
 def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """Quadrature approximation of the integral of ||f(t)||; nonnegative."""
-    ts, w = _sample_grid(f, rule)
-    return float(w @ np.linalg.norm(evaluate_many(f, ts), axis=1))
-
-
-def refine_until(
-    f: GridFunction, rule: QuadratureRule, max_doublings: int = 20
-) -> tuple[np.ndarray, float, float]:
-    """Double ``refinement`` until successive (vector, norm) estimates agree.
-
-    Returns ``(vector_integral, norm_integral, achieved)`` where ``achieved``
-    is the last observed difference max(||delta vector||, |delta norm|); it is
-    below ``rule.tol`` on success.  Raises RuntimeError if ``max_doublings``
-    doublings do not reach the tolerance.
-    """
-    if not rule.tol > 0:
-        raise ValueError("rule.tol must be > 0")
-    cur = rule
-    vec = integrate_vector(f, cur)
-    nrm = integrate_norm(f, cur)
-    for _ in range(max_doublings):
-        cur = replace(cur, refinement=cur.refinement * 2)
-        vec2 = integrate_vector(f, cur)
-        nrm2 = integrate_norm(f, cur)
-        achieved = max(float(np.linalg.norm(vec2 - vec)), abs(nrm2 - nrm))
-        vec, nrm = vec2, nrm2
-        if achieved < rule.tol:
-            return vec, nrm, achieved
-    raise RuntimeError(
-        f"quadrature did not converge to {rule.tol:.1e} within {max_doublings} doublings"
-    )
+    """Integral of ||f(t)|| under ``rule``; nonnegative."""
+    if _integrates_model(f, rule):
+        return float(np.diff(f.nodes) @ panel_norm_integrals(f.values[:-1], f.values[1:]))
+    w = _node_weights(f, rule)
+    return float(w @ np.linalg.norm(f.values[: w.size], axis=1))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:

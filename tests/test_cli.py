@@ -107,6 +107,11 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     cases.append((witness_request, ("witness",), "node_count"))
     bench_request = {"schema": SCHEMA, "hypothesis": hyp, "generator": {"rmin": math.inf}}
     cases.append((bench_request, ("bench",), "rmin"))
+    # node counts are JSON integers from 2 to a cap checked before allocating; 2.9 is not 2
+    for count in (2.9, True, 1, 10**11):
+        cases.append((dict(witness_request, node_count=count), ("witness",), "node_count"))
+        cases.append((dict(bench_request, generator={"nodes": count}), ("bench",),
+                      "generator.nodes"))
     cases.append((dict(witness_request, node_count=33, interval={"a": "x", "b": 1}),
                   ("witness",), "interval"))
     for i, (doc, commands, field) in enumerate(cases):
@@ -117,6 +122,8 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert field in err, (i, command, err)
+    assert main(["bench", "--input", str(INPUTS / "bench_cone.json"), "--trials", str(10**11)]) == 1
+    assert capsys.readouterr().err.startswith("error: trials: ")
     unwritable = str(tmp_path / "missing_dir" / "out.json")
     assert main(["integrate", "--input", str(INPUTS / "disk_lens.json"), "--output", unwritable]) == 1
     assert capsys.readouterr().err.startswith("error: output: ")

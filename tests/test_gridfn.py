@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochner_bounds.bounds import bound_report_to_dict, certify
 from bochner_bounds.gridfn import (
     DEFAULT_RULE,
     GridFunction,
@@ -17,9 +18,10 @@ from bochner_bounds.gridfn import (
     gridfunction_to_dict,
     integrate_norm,
     integrate_vector,
-    refine_until,
+    panel_norm_integrals,
     sample,
 )
+from bochner_bounds.hypotheses import Cone
 
 ON_NODE_SIMPSON = QuadratureRule("composite-simpson", refinement=1)
 TRAPEZOID = QuadratureRule("trapezoid-on-nodes", refinement=1)
@@ -135,51 +137,6 @@ def test_simpson_convergence_order_at_least_3_5():
     assert min(orders) >= 3.5
 
 
-def test_refine_until_constant_converges_immediately():
-    f = constant([1.0 + 1j])
-    vec, nrm, achieved = refine_until(f, DEFAULT_RULE)
-    assert achieved <= 1e-15
-    assert vec[0] == pytest.approx(1.0 + 1j)
-    assert nrm == pytest.approx(math.sqrt(2.0))
-
-
-def test_refine_until_smooth_reaches_tolerance():
-    f = circle_arc(0.0, math.pi / 3, 33)
-    vec, nrm, achieved = refine_until(f, QuadratureRule("composite-simpson", 2, 1e-12))
-    assert achieved < 1e-12
-    # converges to the integrals of the interpolated model, not the smooth truth
-    assert abs(vec[0] - circle_integral(0.0, math.pi / 3)) < 1e-4
-
-
-def test_refinement_doubling_contracts_like_fourth_order():
-    # successive norm-integral estimates of the interpolated model shrink
-    # ~16x per refinement doubling on a smooth integrand
-    f = circle_arc(0.0, math.pi / 3, 17)
-    estimates = [
-        integrate_norm(f, QuadratureRule("composite-simpson", m)) for m in (2, 4, 8, 16, 32)
-    ]
-    diffs = [abs(estimates[i + 1] - estimates[i]) for i in range(4)]
-    ratios = [diffs[i] / diffs[i + 1] for i in range(3)]
-    assert min(ratios) > 8.0
-
-
-def test_refine_until_nonconvergence_raises():
-    nodes = np.linspace(0.0, 1.0, 9)
-    values = np.where(nodes < 0.5, 1.0, -1.0).astype(complex)[:, None]
-    f = GridFunction(Interval(0, 1), nodes, values)
-    with pytest.raises(RuntimeError, match="doublings"):
-        refine_until(f, QuadratureRule("composite-simpson", 2, 1e-16), max_doublings=2)
-
-
-def test_refine_until_step_function_converges():
-    nodes = np.linspace(0.0, 1.0, 9)
-    values = np.where(nodes < 0.5, 1.0, -1.0).astype(complex)[:, None]
-    f = GridFunction(Interval(0, 1), nodes, values)
-    _, nrm, achieved = refine_until(f, QuadratureRule("composite-simpson", 2, 1e-8))
-    assert achieved < 1e-8
-    assert nrm > 0
-
-
 grids = st.integers(3, 12)
 
 
@@ -202,6 +159,21 @@ def grid_functions(draw, d_max=3):
 def test_triangle_inequality(f):
     for rule in (DEFAULT_RULE, TRAPEZOID, ON_NODE_SIMPSON):
         assert np.linalg.norm(integrate_vector(f, rule)) <= integrate_norm(f, rule) + 1e-9
+
+
+@settings(max_examples=40)
+@given(grid_functions(), st.lists(st.floats(-0.3, 0.3), min_size=12, max_size=12))
+def test_trapezoid_weights_match_the_panel_loop(f, jitter):
+    h = np.diff(f.nodes)
+    nodes = f.nodes + np.r_[0.0, jitter[: h.size - 1] * h[1:], 0.0]
+    g = GridFunction(f.interval, nodes, f.values, "linear")
+    w = np.zeros(nodes.size)
+    for k in range(nodes.size - 1):  # one trapezoid per panel, in panel order
+        step = np.full(2, nodes[k + 1] - nodes[k])
+        step[0] = step[-1] = step[0] / 2.0
+        w[k : k + 2] += step
+    assert np.array_equal(integrate_vector(g, TRAPEZOID), w @ g.values)
+    assert integrate_norm(g, TRAPEZOID) == float(w @ np.linalg.norm(g.values, axis=1))
 
 
 @settings(max_examples=40)
@@ -233,3 +205,100 @@ def test_from_dict_rejects_ragged_values():
     doc = {"a": 0.0, "b": 1.0, "nodes": [0.0, 1.0], "values": [[[1, 0]], [[1, 0], [0, 1]]]}
     with pytest.raises(ValueError, match="dimension"):
         gridfunction_from_dict(doc)
+
+
+PANEL_KINDS = ("random", "short_far", "through_origin", "near_origin", "constant")
+
+
+def make_panel(kind: str, d: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (x0, x1) in C^d of one panel of the given geometric kind."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def draw():
+        return scale * (rng.normal(size=d) + 1j * rng.normal(size=d))
+
+    x0 = draw()
+    if kind == "random":
+        return x0, draw()
+    if kind == "short_far":  # L / n ~ 1e-7
+        return x0, x0 + 1e-7 * draw()
+    if kind == "constant":
+        return x0, x0.copy()
+    x1 = -rng.uniform(0.1, 3.0) * x0  # the panel's line runs through 0
+    if kind == "through_origin":
+        return x0, x1
+    # near_origin: shift the line off 0 by 1e-9 * scale, perpendicular to it in R^2d
+    w = draw()
+    w -= (np.vdot(x0, w).real / np.vdot(x0, x0).real) * x0
+    w *= 1e-9 * scale / np.linalg.norm(w)
+    return x0 + w, x1 + w
+
+
+def mpmath_panel_integral(x0: np.ndarray, x1: np.ndarray):
+    """integral_0^1 ||x0 + s (x1 - x0)|| ds by mpmath quadrature at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(c)) for c in x0.view(float)]
+        v = [mpmath.mpf(float(c)) - ai for c, ai in zip(x1.view(float), a)]
+        vv = sum(vi * vi for vi in v)
+        breaks = [0, 1]
+        if vv > 0:  # split at the point of the line closest to 0, where ||.|| kinks
+            closest = -sum(ai * vi for ai, vi in zip(a, v)) / vv
+            if 0 < closest < 1:
+                breaks = [0, closest, 1]
+        return mpmath.quad(
+            lambda s: mpmath.sqrt(sum((ai + s * vi) ** 2 for ai, vi in zip(a, v))), breaks
+        )
+
+
+panels = st.tuples(
+    st.sampled_from(PANEL_KINDS),
+    st.integers(1, 3),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(panels)
+def test_panel_norm_integral_matches_mpmath(panel):
+    kind, d, log_scale, seed = panel
+    x0, x1 = make_panel(kind, d, 10.0**log_scale, seed)
+    got = panel_norm_integrals(x0[None], x1[None])[0]
+    want = mpmath_panel_integral(x0, x1)
+    assert abs((got - want) / want) <= 1e-14, (kind, got, want)
+
+
+@settings(max_examples=200)
+@given(panels, st.integers(-60, 60))
+def test_panel_norm_integral_is_homogeneous_and_symmetric(panel, k):
+    x0, x1 = make_panel(panel[0], panel[1], 10.0 ** panel[2], panel[3])
+    got = panel_norm_integrals(x0[None], x1[None])[0]
+    assert panel_norm_integrals(x1[None], x0[None])[0] == got
+    scale = 2.0**k
+    assert panel_norm_integrals(scale * x0[None], scale * x1[None])[0] == scale * got
+
+
+@settings(max_examples=200)
+@given(panels)
+def test_panel_norm_integral_dominates_the_midpoint_norm(panel):
+    x0, x1 = make_panel(panel[0], panel[1], 10.0 ** panel[2], panel[3])
+    mid = (0.5 * x0 + 0.5 * x1)[None]
+    # row norms, as integrate_norm takes them at the nodes
+    assert panel_norm_integrals(x0[None], x1[None])[0] >= np.linalg.norm(mid, axis=1)[0]
+
+
+def test_model_rule_is_exact_for_any_refinement():
+    f = sample(lambda t: cmath.exp(1j * t) * (1.5 - t), Interval(math.pi / 6, math.pi / 3), 33)
+    jitter = np.r_[0.0, 0.003 * np.sin(np.arange(1, 32)), 0.0]
+    jittered = GridFunction(f.interval, f.nodes + jitter, f.values)
+    for g in (f, jittered):
+        reports = {
+            repr(bound_report_to_dict(certify(g, Cone(0.2, 1.2), QuadratureRule(kind, m))))
+            for kind in ("composite-simpson", "trapezoid-on-nodes")
+            for m in (2, 8, 64)
+        }
+        assert len(reports) == 1
+        assert np.array_equal(integrate_vector(g, DEFAULT_RULE), integrate_vector(g, TRAPEZOID))
+    # Simpson cannot run on a non-uniform grid, so refinement 1 takes the model rule there
+    assert integrate_norm(jittered, ON_NODE_SIMPSON) == integrate_norm(jittered, DEFAULT_RULE)
