@@ -3,10 +3,13 @@
 
 Verifies the exit-code contract (0 verified / 2 falsified / 1 malformed),
 the witness -> certify round trip, byte-stable JSON output, named errors
-for non-integer, too small and oversized counts, and a nonnegative
-triangle slack from ``integrate`` on every bundled function under both the
-default rule and ``--quad-refine 1``.  Any traceback on stderr counts as a
-failure.  Prints one line per check and exits nonzero if any check failed.
+for non-integer, too small and oversized counts, for integers too large for
+a float and for numbers that are not JSON numbers, a byte-exact in-process
+re-render of a 1e4-node witness, and a nonnegative triangle slack from
+``integrate`` on every bundled function under both the default rule and
+``--quad-refine 1``.  Any traceback on stderr counts as a failure.  Prints
+one line per check and exits nonzero if any check failed.  The package must
+be importable: installed, or ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+
+from bochner_bounds.gridfn import gridfunction_from_dict, gridfunction_to_dict
+from bochner_bounds.hypotheses import hypothesis_from_dict, hypothesis_to_dict
+from bochner_bounds.jsonio import dumps
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CLI = [sys.executable, "-m", "bochner_bounds.cli"]
@@ -144,6 +151,69 @@ def main() -> int:
                 and "Traceback" not in r.stderr,
                 r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
             )
+
+        huge = 10**400  # a JSON integer too large for a float
+        n = len(function["nodes"])
+        number_cases = [
+            ("a = 10**400", {"a": huge}, "function: a"),
+            ("b = 10**400", {"b": huge}, "function: b"),
+            ("a node 10**400", {"nodes": [huge] + function["nodes"][1:]}, "function: nodes"),
+            ("a value 10**400", {"values": [[[huge, 0]]] * n}, "function: values"),
+            ('a node "0"', {"nodes": ["0"] + function["nodes"][1:]}, "function: nodes"),
+            ('a = "0"', {"a": "0"}, "function: a"),
+            ("a value true", {"values": [[[True, 0]]] * n}, "function: values"),
+            ("three-number pairs", {"values": [[[0.6, 0.8, 99]]] * n}, "function: values"),
+            ("empty rows", {"values": [[]] * n}, "function: values"),
+        ]
+        for i, (label, change, field) in enumerate(number_cases):
+            path = tmpdir / f"number_{i}.json"
+            path.write_text(
+                json.dumps({"schema": "bochner-bounds/1", "function": dict(function, **change),
+                            "hypothesis": hyp}),
+                encoding="utf-8",
+            )
+            for command in ("check", "integrate"):
+                r = run(command, "--input", str(path))
+                good &= expect(
+                    f"{command} with {label} exits 1 naming {field}",
+                    r.returncode == 1 and r.stderr.startswith(f"error: {field}: ")
+                    and "Traceback" not in r.stderr,
+                    r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
+                )
+        for fields, command, field in (
+            ({"hypothesis": dict(hyp, k1=huge)}, "check", "hypothesis.k1"),
+            ({"hypothesis": dict(hyp, e=[[huge, 0]])}, "check", "hypothesis.e"),
+            ({"hypothesis": hyp, "interval": {"a": huge, "b": 1}}, "witness", "interval.a"),
+        ):
+            path = tmpdir / f"overflow_{field}.json"
+            path.write_text(
+                json.dumps({"schema": "bochner-bounds/1", "function": function, **fields}),
+                encoding="utf-8",
+            )
+            r = run(command, "--input", str(path))
+            good &= expect(
+                f"{command} with an overflowing {field} exits 1 naming it",
+                r.returncode == 1 and f"{field}: " in r.stderr and "Traceback" not in r.stderr,
+                r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
+            )
+
+        # a 1e4-node, d = 4 witness, decoded and rendered again in process
+        e4 = [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]
+        request = tmpdir / "witness_d4.json"
+        request.write_text(
+            json.dumps({"schema": "bochner-bounds/1", "node_count": 10_000,
+                        "hypothesis": {"type": "unit_vector", "e": e4, "k1": 0.6, "k2": 0.8}}),
+            encoding="utf-8",
+        )
+        r = run("witness", "--input", str(request))
+        doc = json.loads(r.stdout) if r.returncode == 0 else {}
+        again = r.returncode == 0 and dumps({
+            "schema": doc["schema"],
+            "function": gridfunction_to_dict(gridfunction_from_dict(doc["function"])),
+            "hypothesis": hypothesis_to_dict(hypothesis_from_dict(doc["hypothesis"])),
+        })
+        good &= expect("witness d=4 N=1e4 re-renders byte for byte in process",
+                       again == r.stdout, f"{len(r.stdout)} bytes")
 
         for path in sorted(inputs.glob("*.json")):
             if "function" not in json.loads(path.read_text()):

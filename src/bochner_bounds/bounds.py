@@ -36,6 +36,7 @@ import numpy as np
 
 from .gridfn import DEFAULT_RULE, GridFunction, QuadratureRule, integrate_norm, integrate_vector
 from .hypotheses import DEFAULT_CHECK_TOL, Cone, Hypothesis, check, family_form, tag_of
+from .jsonio import encode_pairs
 
 __all__ = [
     "coefficient",
@@ -138,7 +139,7 @@ def bound_report_to_dict(report: BoundReport) -> dict:
         "lower_bound": report.lower_bound,
         "true_norm": report.true_norm,
         "gap": report.gap,
-        "equality_vector": [[float(z.real), float(z.imag)] for z in report.equality_vector],
+        "equality_vector": encode_pairs(report.equality_vector),
         "equality_residual": report.equality_residual,
         "hypothesis_verified": report.hypothesis_verified,
     }

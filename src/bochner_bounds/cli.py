@@ -28,7 +28,7 @@ from .gridfn import (
     integrate_vector,
 )
 from .hypotheses import ConditionReport, check, hypothesis_from_dict, hypothesis_to_dict
-from .jsonio import SchemaError, dumps
+from .jsonio import SchemaError, decode_floats, dumps, encode_pairs
 from .witness import FamilySpec, WitnessSpec, make_witness, stats_to_dict, tightness
 
 __all__ = ["RunConfig", "run", "render_table", "main"]
@@ -125,7 +125,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         out = {
             "schema": SCHEMA,
             "kind": "integral_report",
-            "vector": [[float(z.real), float(z.imag)] for z in vec],
+            "vector": encode_pairs(vec),
             "norm_integral": nrm,
             "triangle_slack": nrm - float(np.linalg.norm(vec)),
         }
@@ -151,8 +151,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         seed=config.seed,
         nodes=_node_count(gen, "generator.nodes", 17),
         interval=_interval_from(gen.get("interval"), default=Interval(0.0, 1.0)),
-        rmin=_number(gen, "rmin", 0.5),
-        rmax=_number(gen, "rmax", 1.5),
+        rmin=_number(gen.get("rmin", 0.5), "generator.rmin"),
+        rmax=_number(gen.get("rmax", 1.5), "generator.rmax"),
     )
     stats = tightness(config.trials, family, h, config.quad)
     out = {"schema": SCHEMA, "kind": "tightness_stats"}
@@ -168,21 +168,20 @@ def _node_count(d: dict, field: str, default: int) -> int:
     return value
 
 
-def _number(d: dict, key: str, default: float) -> float:
+def _number(raw, field: str) -> float:
+    """One JSON number under the rule of :mod:`.jsonio`, else an error naming ``field``."""
     try:
-        return float(d.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{key}: {exc}") from exc
+        return float(decode_floats(raw, 0))
+    except ValueError as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
 
 
 def _interval_from(d, default: Interval) -> Interval:
     if d is None:
         return default
-    try:
-        a, b = float(d["a"]), float(d["b"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"interval: expected an object with fields a, b: {exc!r}") from exc
-    return Interval(a, b)
+    if not (isinstance(d, dict) and "a" in d and "b" in d):
+        raise SchemaError("interval: expected an object with fields a, b")
+    return Interval(_number(d["a"], "interval.a"), _number(d["b"], "interval.b"))
 
 
 def render_table(reports, tol: float = 1e-9) -> str:

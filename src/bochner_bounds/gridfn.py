@@ -22,6 +22,11 @@ the norm of the panel's midpoint, so the discrete triangle inequality
     ||integrate_vector(f)|| <= integrate_norm(f)
 
 holds structurally under every rule, not just up to quadrature error.
+
+:func:`gridfunction_to_dict` and :func:`gridfunction_from_dict` are the wire
+form ``{a, b, nodes, values, interp}``.  Both go through the array codec of
+:mod:`.jsonio`, whole arrays at a time, so decoding applies its number rule
+(JSON numbers, ``[re, im]`` pairs of two, one row width d >= 1).
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
     "Interval",
@@ -256,27 +263,32 @@ def gridfunction_to_dict(f: GridFunction) -> dict:
     return {
         "a": float(f.interval.a),
         "b": float(f.interval.b),
-        "nodes": [float(t) for t in f.nodes],
-        "values": [[[float(z.real), float(z.imag)] for z in row] for row in f.values],
+        "nodes": f.nodes.tolist(),
+        "values": encode_pairs(f.values),
         "interp": f.interpolation,
     }
 
 
 def gridfunction_from_dict(d: dict) -> GridFunction:
-    """Inverse of :func:`gridfunction_to_dict`; raises ValueError naming bad fields."""
-    try:
-        a, b = float(d["a"]), float(d["b"])
-        nodes = [float(t) for t in d["nodes"]]
-        values = [[complex(p[0], p[1]) for p in row] for row in d["values"]]
-        interp = d.get("interp", "linear")
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed GridFunction document: {exc!r}") from exc
-    widths = {len(row) for row in values}
-    if len(widths) != 1:
-        raise ValueError("values: rows must share a common dimension")
+    """Inverse of :func:`gridfunction_to_dict`; raises ValueError naming bad fields.
+
+    Numbers follow the rule of :mod:`.jsonio`; ``values`` holds one row of
+    d >= 1 ``[re, im]`` pairs per node.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("expected an object with fields a, b, nodes, values")
+
+    def field(key: str, decode, ndim: int) -> np.ndarray:
+        if key not in d:
+            raise ValueError(f"{key}: missing")
+        try:
+            return decode(d[key], ndim)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
     return GridFunction(
-        interval=Interval(a, b),
-        nodes=np.asarray(nodes),
-        values=np.asarray(values),
-        interpolation=interp,
+        interval=Interval(float(field("a", decode_floats, 0)), float(field("b", decode_floats, 0))),
+        nodes=field("nodes", decode_floats, 1),
+        values=field("values", decode_pairs, 2),
+        interpolation=d.get("interp", "linear"),
     )

@@ -39,6 +39,7 @@ import numpy as np
 
 from .gridfn import GridFunction, evaluate_many
 from .hilbert import OrthonormalFamily, as_vector, norm
+from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
     "KCond",
@@ -501,17 +502,6 @@ def disk_feasible(eta1: float, eta2: float) -> bool:
 
 # --- JSON wire format -------------------------------------------------------
 
-def _pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _vec_from_pairs(pairs) -> np.ndarray:
-    try:
-        return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-    except (TypeError, IndexError, KeyError) as exc:
-        raise ValueError("expected a list of [re, im] pairs") from exc
-
-
 def _wire_key(name: str) -> str:
     return "vectors" if name == "fam" else name
 
@@ -526,9 +516,9 @@ def hypothesis_to_dict(h: Hypothesis) -> dict:
     for f in fields(h):
         value = getattr(h, f.name)
         if f.name == "e":
-            value = _pairs(value)
+            value = encode_pairs(value)
         elif f.name == "fam":
-            value = [_pairs(v) for v in value.vectors]
+            value = encode_pairs(value.vectors)
         elif isinstance(value, tuple):
             value = list(value)
         doc[_wire_key(f.name)] = value
@@ -537,12 +527,12 @@ def hypothesis_to_dict(h: Hypothesis) -> dict:
 
 def _field_from(f: Field, raw):
     if f.name == "e":
-        return _vec_from_pairs(raw)
+        return decode_pairs(raw, 1)
     if f.name == "fam":
-        return OrthonormalFamily(vectors=np.array([_vec_from_pairs(row) for row in raw]))
+        return OrthonormalFamily(vectors=decode_pairs(raw, 2))
     if f.type == "tuple":  # annotations are strings under `from __future__ import annotations`
-        return tuple(float(x) for x in raw)
-    return float(raw)
+        return tuple(decode_floats(raw, 1).tolist())
+    return float(decode_floats(raw, 0))
 
 
 _CLASSES = {tag: cls for cls, tag in _TAGS.items()}

@@ -1,21 +1,107 @@
-"""Deterministic JSON rendering for report documents.
+"""The package's wire codec: number arrays in, deterministic JSON text out.
 
-``json.dumps`` leaves float formatting to ``repr``; reports instead fix every
-float at 17 significant digits so that identical inputs produce byte-identical
-output files.  Dict keys keep insertion order (the schemas fix it).
+Decoding.  Documents carry numbers as JSON numbers and complex numbers as
+``[re, im]`` pairs.  :func:`decode_floats` and :func:`decode_pairs` turn a
+rectangular nested list of them into one numpy array, checking each nesting
+level at once (``set(map(len, ...))`` for the widths, ``set(map(type, ...))``
+for the leaves) and converting all leaves in a single ``np.fromiter``.  The
+rule: leaves are ``int`` or ``float`` (not strings, booleans or ``null``),
+every row of a level shares one width of at least 1, pairs have exactly two
+numbers, and an integer too large for a float is an error, not a crash.
+
+Encoding.  :func:`encode_pairs` is the inverse of :func:`decode_pairs` and
+returns plain lists.  :func:`dumps` fixes every float at 17 significant
+digits (``json.dumps`` would leave it to ``repr``), so that identical inputs
+produce byte-identical output files.  A rectangular nested list of finite
+``float`` leaves is rendered with one ``%`` on a template built from its
+shape; everything else is rendered item by item, with the same bytes.  Dict
+keys keep insertion order (the schemas fix it).
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
-__all__ = ["dumps", "SchemaError"]
+__all__ = ["dumps", "decode_floats", "decode_pairs", "encode_pairs", "SchemaError"]
+
+_NUMBER_TYPES = frozenset((int, float))
+_PAIR_RULE = "expected [re, im] pairs of two numbers"
 
 
 class SchemaError(ValueError):
     """Malformed input document; the message names the offending field."""
+
+
+def _decode(raw, ndim: int, pairs: bool) -> np.ndarray:
+    level, shape = [raw], []
+    for depth in range(ndim):
+        is_pair = pairs and depth == ndim - 1
+        if set(map(type, level)) != {list}:
+            shape_rule = "expected a list" if depth == 0 else "expected lists of rows"
+            raise ValueError(_PAIR_RULE if is_pair else shape_rule)
+        widths = set(map(len, level))
+        if is_pair:
+            if widths != {2}:
+                raise ValueError(_PAIR_RULE)
+        elif depth and (len(widths) != 1 or 0 in widths):
+            raise ValueError("rows must share one dimension of at least 1")
+        shape.append(widths.pop())
+        level = list(chain.from_iterable(level))
+        if not level:  # an empty top-level list: nothing below it to check
+            shape += [0] * (ndim - len(shape))
+            break
+    bad = set(map(type, level)) - _NUMBER_TYPES
+    if bad:
+        names = ", ".join(sorted("null" if t is type(None) else t.__name__ for t in bad))
+        raise ValueError(f"expected JSON numbers, got {names}")
+    try:
+        flat = np.fromiter(level, float, len(level))
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+    return flat.reshape(shape)
+
+
+def decode_floats(raw, ndim: int) -> np.ndarray:
+    """Float array of ``ndim`` nested lists of JSON numbers (``ndim = 0``: one number)."""
+    return _decode(raw, ndim, pairs=False)
+
+
+def decode_pairs(raw, ndim: int) -> np.ndarray:
+    """Complex array of ``ndim`` nested lists of ``[re, im]`` pairs."""
+    floats = _decode(raw, ndim + 1, pairs=True)
+    return floats.view(complex).reshape(floats.shape[:-1])
+
+
+def encode_pairs(values: np.ndarray) -> list:
+    """``[re, im]`` pair lists of a complex array, as plain Python floats."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
+def _float_tensor(obj: list) -> str | None:
+    """``obj`` rendered by one template if it is a rectangular nest of finite floats."""
+    level, shape = [obj], []
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            break
+        if kinds != {list}:
+            return None
+        widths = set(map(len, level))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape.append(widths.pop())
+        level = list(chain.from_iterable(level))
+    template = "%.17g"
+    for width in reversed(shape):
+        template = "[" + ", ".join([template] * width) + "]"
+    text = template % tuple(level)
+    # "%.17g" writes only digits, signs, "." and "e", except "inf" and "nan"
+    return None if "n" in text else text
 
 
 def _render(obj, parts: list) -> None:
@@ -32,6 +118,10 @@ def _render(obj, parts: list) -> None:
                 raise ValueError(f"{key}: {exc}") from None
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
+        text = _float_tensor(obj) if type(obj) is list else None
+        if text is not None:
+            parts.append(text)
+            return
         parts.append("[")
         for i, val in enumerate(obj):
             if i:
@@ -44,7 +134,7 @@ def _render(obj, parts: list) -> None:
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise ValueError(f"cannot serialize non-finite number {x!r}")
         parts.append(format(x, ".17g"))
     elif isinstance(obj, str):

@@ -114,6 +114,29 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
                       "generator.nodes"))
     cases.append((dict(witness_request, node_count=33, interval={"a": "x", "b": 1}),
                   ("witness",), "interval"))
+    # integers too large for a float, and numbers that are not JSON numbers
+    huge = 10**400
+    function_cases = [
+        ({"a": huge}, "function: a: "),
+        ({"b": huge}, "function: b: "),
+        ({"nodes": [0, 0.25, huge, 0.75, 1]}, "function: nodes: "),
+        ({"values": [[[huge, 0]]] * 5}, "function: values: "),
+        ({"nodes": [0, 0.25, "0.5", 0.75, 1]}, "function: nodes: "),
+        ({"a": "0"}, "function: a: "),
+        ({"values": [[[1, 0]]] * 4 + [[[True, 0]]]}, "function: values: "),
+        ({"values": [[[0.6, 0.8, 99]]] * 5}, "function: values: "),
+        ({"values": [[]] * 5}, "function: values: "),
+    ]
+    ok = constant_doc(1.0 + 0j, hyp)
+    for change, field in function_cases:
+        doc = dict(ok, function=dict(ok["function"], **change))
+        cases.append((doc, ("check", "certify", "integrate"), field))
+    for change, field in (({"k1": huge}, "hypothesis.k1"), ({"e": [[huge, 0]]}, "hypothesis.e"),
+                          ({"k1": "0.5"}, "hypothesis.k1")):
+        cases.append((constant_doc(1.0 + 0j, dict(hyp, **change)), ("check", "certify"), field))
+    cases.append((dict(witness_request, node_count=33, interval={"a": huge, "b": 1}),
+                  ("witness",), "interval.a"))
+    cases.append((dict(bench_request, generator={"rmax": huge}), ("bench",), "generator.rmax"))
     for i, (doc, commands, field) in enumerate(cases):
         path = tmp_path / f"doc{i}.json"
         path.write_text(json.dumps(doc).replace("Infinity", "1e999"), encoding="utf-8")

@@ -302,3 +302,54 @@ def test_model_rule_is_exact_for_any_refinement():
         assert np.array_equal(integrate_vector(g, DEFAULT_RULE), integrate_vector(g, TRAPEZOID))
     # Simpson cannot run on a non-uniform grid, so refinement 1 takes the model rule there
     assert integrate_norm(jittered, ON_NODE_SIMPSON) == integrate_norm(jittered, DEFAULT_RULE)
+
+
+def per_element_from_dict(d: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values as the decoder before the codec read them, one call per number."""
+    nodes = [float(t) for t in d["nodes"]]
+    values = [[complex(p[0], p[1]) for p in row] for row in d["values"]]
+    return np.asarray(nodes), np.asarray(values)
+
+
+WIRE_EDGES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+              2**53, -(2**53), 0]
+wire_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**53), 2**53),
+    st.sampled_from(WIRE_EDGES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_from_dict_is_bit_identical_to_the_per_element_decoder(d, data):
+    nodes = data.draw(st.lists(wire_numbers, min_size=2, max_size=8, unique_by=float))
+    nodes.sort(key=float)
+    pair = st.lists(wire_numbers, min_size=2, max_size=2)
+    values = data.draw(st.lists(st.lists(pair, min_size=d, max_size=d),
+                                min_size=len(nodes), max_size=len(nodes)))
+    doc = {"a": nodes[0], "b": nodes[-1], "nodes": nodes, "values": values}
+    f = gridfunction_from_dict(doc)
+    want_nodes, want_values = per_element_from_dict(doc)
+    assert np.array_equal(f.nodes.view(np.uint64), want_nodes.view(np.uint64))
+    assert np.array_equal(f.values.view(float).view(np.uint64),
+                          want_values.view(float).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"nodes": [0, "0.5", 1]}, "nodes"),
+        ({"a": "0"}, "a"),
+        ({"values": [[[1, 0]], [[True, 0]], [[1, 0]]]}, "values"),
+        ({"values": [[[0.6, 0.8, 99]]] * 3}, "values"),
+        ({"values": [[], [], []]}, "values"),
+        ({"nodes": [0, 10**400, 1]}, "nodes"),
+        ({"b": 10**400}, "b"),
+        ({"values": [[[10**400, 0]]] * 3}, "values"),
+    ],
+)
+def test_from_dict_holds_the_number_rule(change, field):
+    doc = {"a": 0, "b": 1, "nodes": [0, 0.5, 1], "values": [[[1, 0]]] * 3}
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        gridfunction_from_dict(dict(doc, **change))
