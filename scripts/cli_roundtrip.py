@@ -7,9 +7,11 @@ for non-integer, too small and oversized counts, for integers too large for
 a float and for numbers that are not JSON numbers, a byte-exact in-process
 re-render of a 1e4-node witness, and a nonnegative triangle slack from
 ``integrate`` on every bundled function under both the default rule and
-``--quad-refine 1``.  Any traceback on stderr counts as a failure.  Prints
-one line per check and exits nonzero if any check failed.  The package must
-be importable: installed, or ``PYTHONPATH=src``.
+``--quad-refine 1``.  It also checks that ``check`` reads exactly the
+nodes of every bundled non-angular function, and that a usage error and a
+flag the subcommand does not read exit 1.  Any traceback on stderr counts
+as a failure.  Prints one line per check and exits nonzero if any check
+failed.  The package must be importable: installed, or ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -227,6 +229,30 @@ def main() -> int:
                     r.returncode == 0 and doc["triangle_slack"] >= 0,
                     f"triangle_slack={doc.get('triangle_slack')!r}",
                 )
+
+        for path in sorted(inputs.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "function" not in doc or doc["hypothesis"]["type"] in ("cone", "karamata"):
+                continue  # the angular classes skip zero nodes
+            r = run("check", "--input", str(path))
+            got = json.loads(r.stdout)["checked_points"] if r.returncode in (0, 2) else None
+            nodes = len(doc["function"]["nodes"])
+            good &= expect(f"check {path.name} checks its {nodes} nodes", got == nodes,
+                           f"checked_points={got!r}")
+
+        disk = str(inputs / "disk_lens.json")
+        for args, field in (
+            (["check"], "--input"),
+            (["certify", "--input", disk, "--quad-refine", "x"], "--quad-refine"),
+            (["check", "--input", disk, "--quad-refine", "1"], "--quad-refine"),
+            (["bench", "--input", str(inputs / "bench_cone.json"), "--tol", "1e-300"], "--tol"),
+        ):
+            r = run(*args)
+            good &= expect(
+                f"{' '.join(args[:1] + args[3:])} exits 1 naming {field}",
+                r.returncode == 1 and r.stderr.startswith("error: ") and field in r.stderr,
+                r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
+            )
 
     good &= expect("no traceback on stderr", not TRACEBACKS, ", ".join(TRACEBACKS))
     print("round trip:", "all checks passed" if good else "FAILURES above")

@@ -2,8 +2,8 @@
 
 Each hypothesis class implies, through its normal form
 :func:`~bochner_bounds.hypotheses.family_form`, an orthonormal family e_j and
-constants k_j, h_j >= 0 with k_j ||f|| <= Re<f, e_j> and h_j ||f|| <= Im<f, e_j>
-pointwise.  Then
+constants k_j, h_j >= 0 with k_j ||f|| <= Re<f, e_j> pointwise, and
+h_j ||f|| <= Im<f, e_j> pointwise where h_j > 0.  Then
 
     c * integral ||f(t)|| dt  <=  || integral f(t) dt ||,   c = sqrt(sum_j k_j^2 + h_j^2),
 

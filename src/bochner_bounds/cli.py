@@ -4,7 +4,8 @@ Input is one JSON document ``{"schema": "bochner-bounds/1", "function":
 {...}, "hypothesis": {...}}``; witness and bench runs omit ``"function"``.
 Exit codes: 0 = success with the hypothesis verified (or zero bench
 violations), 2 = input was well-formed but the hypothesis failed (or bench
-found violations), 1 = malformed input.
+found violations), 1 = malformed input or command line.  Each subcommand
+accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .bounds import bound_report_to_dict, certify, equality_holds
 from .gridfn import (
+    DEFAULT_RULE,
     GridFunction,
     Interval,
     QuadratureRule,
@@ -54,6 +56,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_COUNT:
             raise ValueError(f"trials: must be between 1 and {MAX_COUNT}, got {self.trials}")
 
@@ -237,48 +241,44 @@ def _write_output(text: str, path: str) -> None:
         raise ValueError(f"output: cannot write {path!r}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as ValueError, so it exits 1 like bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bochner-bounds",
         description="Check pointwise hypotheses and certify reverse triangle inequality "
         "lower bounds for sampled vector-valued functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_bench in (
-        ("check", False),
-        ("certify", False),
-        ("witness", False),
-        ("bench", True),
-        ("integrate", False),
-    ):
+    for name in COMMANDS:  # each subcommand takes only the flags it reads
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the input JSON document")
         p.add_argument("--output", default="-", help="output path, *.csv for CSV, '-' for stdout")
-        p.add_argument("--tol", type=float, default=1e-9, help="hypothesis check tolerance")
-        p.add_argument(
-            "--quad-kind",
-            default="composite-simpson",
-            choices=("composite-simpson", "trapezoid-on-nodes"),
-            help="quadrature rule",
-        )
-        p.add_argument("--quad-refine", type=int, default=8, help="1: integrate the node "
-                       "samples; larger: integrate the interpolated model exactly")
-        if needs_bench:
+        if name in ("check", "certify"):
+            p.add_argument("--tol", type=float, default=1e-9, help="hypothesis check tolerance")
+        if name in ("certify", "integrate", "bench"):
+            p.add_argument("--quad-kind", default=DEFAULT_RULE.kind, help="quadrature rule",
+                           choices=("composite-simpson", "trapezoid-on-nodes"))
+            p.add_argument("--quad-refine", type=int, default=DEFAULT_RULE.refinement,
+                           help="1: integrate the node samples; larger: integrate the "
+                           "interpolated model exactly")
+        if name == "bench":
             p.add_argument("--seed", type=int, default=0, help="base seed (trial i uses seed+i)")
             p.add_argument("--trials", type=int, default=100, help="number of trials")
         if name == "certify":
             p.add_argument("--table", action="store_true", help="render a text table")
-    args = parser.parse_args(argv)
     try:
+        args = vars(parser.parse_args(argv))
+        quad = DEFAULT_RULE
+        if "quad_kind" in args:
+            quad = QuadratureRule(kind=args.pop("quad_kind"), refinement=args.pop("quad_refine"))
         config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            quad=QuadratureRule(kind=args.quad_kind, refinement=args.quad_refine),
-            tol=args.tol,
-            seed=getattr(args, "seed", 0),
-            trials=getattr(args, "trials", 100),
-            table=getattr(args, "table", False),
+            input_path=args.pop("input"), output_path=args.pop("output"), quad=quad, **args
         )
         if config.command == "certify" and config.table:
             doc_in = _load_document(config.input_path)

@@ -221,10 +221,15 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     term is 0 when p0 + n0 is, and I = n0 when L = 0.  h is taken from the
     midpoint, so I is bit-for-bit symmetric in the endpoints.  I is clamped
     to at least the midpoint's norm (Jensen), so the triangle inequality of
-    the integrals holds by construction.
+    the integrals holds by construction.  Each panel is scaled exactly, by
+    a power of two, to a largest component in [0.5, 1), so no square under-
+    or overflows.
     """
-    a = np.ascontiguousarray(x0, dtype=complex)
-    b = np.ascontiguousarray(x1, dtype=complex)
+    a = np.ascontiguousarray(x0, dtype=complex).view(float)
+    b = np.ascontiguousarray(x1, dtype=complex).view(float)
+    _, exp = np.frexp(np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
+    a = np.ldexp(a, -exp[:, None]).view(complex)
+    b = np.ldexp(b, -exp[:, None]).view(complex)
     mid = 0.5 * a + 0.5 * b
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     n0, n_sum = np.minimum(na, nb), na + nb
@@ -241,7 +246,7 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         ratio = length * (n_sum + 2.0 * pm) / (n_sum * base)
         log_term = np.where(base > 0, h2 / (2.0 * length) * np.log1p(ratio), 0.0)
         exact = np.where(length > 0, n_sum / 4.0 + pm * pm / n_sum + log_term, na)
-    return np.maximum(exact, np.linalg.norm(mid, axis=1))
+    return np.ldexp(np.maximum(exact, np.linalg.norm(mid, axis=1)), exp)
 
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:

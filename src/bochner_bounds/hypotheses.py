@@ -2,18 +2,24 @@
 
 Every hypothesis is a pointwise condition on f(t) relative to a unit vector e
 (or an orthonormal family), e.g. ``k1*||f|| <= Re<f, e>`` or
-``||f - e|| <= eta1``.  A check evaluates the condition's slack at every grid
-node and panel midpoint of the interpolated function and reports the worst
-margin; "a.e." semantics are therefore relative to the sampled model.
+``||f - e|| <= eta1``.  A check evaluates the condition's slack at the
+stored nodes of f and reports the worst margin.  That is exact for the whole
+interpolated model, ``linear`` or ``constleft``.  Each slack below is a
+concave function of f(t), or for the angular classes a tent in arg f, and
+arg is monotone along a segment of the right half-plane; so along a linear
+panel no slack has an interior minimum, and a panel's worst slack sits at
+one of its two nodes.  The angular classes fail with a note at any nonzero
+node with Re f <= 0, where a panel may cross the branch cut of arg.
 
 One normal form covers all nine classes: :func:`family_form` maps each to
 rows e_j of an orthonormal family and constants (k_j, h_j) such that
-``k_j*||f|| <= Re<f, e_j>`` and ``h_j*||f|| <= Im<f, e_j>`` follow
-pointwise.  The single-vector classes are their family counterparts at
-n = 1, the disk and annulus radii give ``k = sqrt(1 - eta^2)`` and
-``k = 2 sqrt(mM)/(M+m)``, the cone is ``e = 1, k = cos phi2, h = sin phi1``,
-the symmetric window is ``KCond(e=1, K=1/cos theta)``, and the K-condition
-is ``k = 1/K, h = 0``.
+``k_j*||f|| <= Re<f, e_j>`` follows pointwise, and so does
+``h_j*||f|| <= Im<f, e_j>`` where h_j > 0 (``KCond`` and ``Karamata``
+have h = 0 and leave Im<f, e> free).  The single-vector classes are their
+family counterparts at n = 1, the disk and annulus radii give
+``k = sqrt(1 - eta^2)`` and ``k = 2 sqrt(mM)/(M+m)``, the cone is
+``e = 1, k = cos phi2, h = sin phi1``, the symmetric window is
+``KCond(e=1, K=1/cos theta)``, and the K-condition is ``k = 1/K, h = 0``.
 
 Checked slacks per variant (negative slack = violated point):
 
@@ -37,7 +43,7 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from .gridfn import GridFunction, evaluate_many
+from .gridfn import GridFunction
 from .hilbert import OrthonormalFamily, as_vector, norm
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
@@ -55,7 +61,6 @@ __all__ = [
     "family_form",
     "ConditionReport",
     "check",
-    "check_points",
     "mforms_agree",
     "estimate_unit_vector",
     "estimate_K",
@@ -278,8 +283,9 @@ def family_form(h: Hypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The normal form ``(vectors, ks, hs)`` every hypothesis class implies.
 
     Rows e_j of ``vectors`` are orthonormal and the class implies
-    ``ks[j]*||f|| <= Re<f, e_j>`` and ``hs[j]*||f|| <= Im<f, e_j>`` at every
-    point.  This is the only place that knows each class's derived constants.
+    ``ks[j]*||f|| <= Re<f, e_j>`` at every point, and ``hs[j]*||f|| <=
+    Im<f, e_j>`` at every point where ``hs[j] > 0``.  This is the only place
+    that knows each class's derived constants.
     """
     if isinstance(h, Cone):
         return _SCALAR_E, np.array([math.cos(h.phi2)]), np.array([math.sin(h.phi1)])
@@ -307,22 +313,13 @@ def hypothesis_dim(h: Hypothesis) -> int:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdict of a pointwise check: worst slack, where it occurs, point count."""
+    """Verdict of a pointwise check: worst slack, where it occurs, nodes checked."""
 
     holds: bool
     worst_t: float
     worst_margin: float
     checked_points: int
     note: str | None = None
-
-
-def check_points(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """All grid nodes plus panel midpoints (sorted), with interpolated values."""
-    mids = 0.5 * (f.nodes[:-1] + f.nodes[1:])
-    ts = np.empty(f.nodes.size + mids.size)
-    ts[0::2] = f.nodes
-    ts[1::2] = mids
-    return ts, evaluate_many(f, ts)
 
 
 def _inner_with(values: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -344,12 +341,11 @@ def _angular_slacks(
 
 def _slacks(values: np.ndarray, h: Hypothesis) -> tuple[np.ndarray, np.ndarray, str | None]:
     """Per-point slack array, inclusion mask, and an optional diagnostic note."""
-    norms = np.linalg.norm(values, axis=1)
     keep = np.ones(values.shape[0], dtype=bool)
     note = None
     if isinstance(h, KCond):
         ip = _inner_with(values, h.e)
-        slack = h.K * ip.real - norms
+        slack = h.K * ip.real - np.linalg.norm(values, axis=1)
     elif isinstance(h, Cone):
         slack, keep, bad = _angular_slacks(values, h.phi1, h.phi2)
         if bad:
@@ -361,6 +357,7 @@ def _slacks(values: np.ndarray, h: Hypothesis) -> tuple[np.ndarray, np.ndarray, 
     elif isinstance(h, (UnitVector, Orthonormal)):
         vectors, (ks, hs) = _per_vector(h)
         ips = values @ vectors.conj().T
+        norms = np.linalg.norm(values, axis=1)
         slack = np.minimum(
             np.min(ips.real - norms[:, None] * ks[None, :], axis=1),
             np.min(ips.imag - norms[:, None] * hs[None, :], axis=1),
@@ -390,20 +387,21 @@ def _ball_slack_sq(values: np.ndarray, center_dir: np.ndarray, m: float, M: floa
 
 
 def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> ConditionReport:
-    """Evaluate the hypothesis at every node and panel midpoint of ``f``.
+    """Evaluate the hypothesis at every node of ``f``.
 
-    ``holds`` iff the worst slack is >= -tol.  Ties on the worst point
-    resolve to the smallest t.  Angular variants fail with a diagnostic note
-    if any nonzero sample has Re f <= 0, and skip samples with f(t) = 0.
+    The nodes decide it for the whole interpolated model (see the module
+    docstring).  ``holds`` iff the worst slack is >= -tol.  Ties on the
+    worst point resolve to the smallest t.  Angular variants fail with a
+    diagnostic note if any nonzero node has Re f <= 0, and skip nodes with
+    f(t) = 0.
     """
     dim = hypothesis_dim(h)
     if dim != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={dim}")
-    ts, values = check_points(f)
-    slack, keep, note = _slacks(values, h)
+    slack, keep, note = _slacks(f.values, h)
     if not np.any(keep):
         raise ValueError("function vanishes at every checked point; hypothesis check is vacuous")
-    ts, slack = ts[keep], slack[keep]
+    ts, slack = f.nodes[keep], slack[keep]
     worst = int(np.argmin(slack))
     worst_margin = float(slack[worst])
     holds = worst_margin >= -tol and note is None
@@ -421,39 +419,42 @@ def mforms_agree(f: GridFunction, h: MBounds, tol: float = DEFAULT_CHECK_TOL) ->
 
     Form (i) is the inner-product sign condition; form (ii) bounds the
     distance to the midpoint (M+m)/2 e by (M-m)/2.  Returns True iff both
-    give the same verdict at every checked point, for both the e and the
-    i*e condition.
+    give the same verdict at every node, for both the e and the i*e
+    condition.
     """
     if not isinstance(h, MBounds):
         raise TypeError("mforms_agree requires an MBounds hypothesis")
     if h.e.size != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={h.e.size}")
-    _, values = check_points(f)
     for center_dir, m, M in ((h.e, h.m1, h.M1), (1j * h.e, h.m2, h.M2)):
-        form_i = _ball_slack_sq(values, center_dir, m, M) >= -tol
-        dist = np.linalg.norm(values - 0.5 * (M + m) * center_dir, axis=1)
+        form_i = _ball_slack_sq(f.values, center_dir, m, M) >= -tol
+        dist = np.linalg.norm(f.values - 0.5 * (M + m) * center_dir, axis=1)
         form_ii = 0.5 * (M - m) - dist >= -tol
         if not np.array_equal(form_i, form_ii):
             return False
     return True
 
 
-def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:
-    """Best (largest) constants (k1, k2) for the UnitVector condition on ``f``.
-
-    Pointwise infima of Re<f, e>/||f|| and Im<f, e>/||f|| over checked points
-    with ||f|| > 0.  Returns None when either infimum is negative (no
-    admissible constants exist).  Raises if f vanishes everywhere.
-    """
+def _nonzero_projections(f: GridFunction, e) -> tuple[np.ndarray, np.ndarray]:
+    """||f|| and <f, e> at the nodes where f is nonzero; raises if there are none."""
     e = _require_unit(e, "e")
-    _, values = check_points(f)
-    norms = np.linalg.norm(values, axis=1)
+    norms = np.linalg.norm(f.values, axis=1)
     mask = norms > 0.0
     if not np.any(mask):
         raise ValueError("function vanishes at every checked point; no constants to estimate")
-    ip = _inner_with(values[mask], e)
-    k1 = float(np.min(ip.real / norms[mask]))
-    k2 = float(np.min(ip.imag / norms[mask]))
+    return norms[mask], _inner_with(f.values[mask], e)
+
+
+def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:
+    """Best (largest) constants (k1, k2) for the UnitVector condition on ``f``.
+
+    Pointwise infima of Re<f, e>/||f|| and Im<f, e>/||f|| over the nodes
+    with ||f|| > 0.  Returns None when either infimum is negative (no
+    admissible constants exist).  Raises if f vanishes everywhere.
+    """
+    norms, ip = _nonzero_projections(f, e)
+    k1 = float(np.min(ip.real / norms))
+    k2 = float(np.min(ip.imag / norms))
     if k1 < 0.0 or k2 < 0.0:
         return None
     return k1, k2
@@ -462,19 +463,13 @@ def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:
 def estimate_K(f: GridFunction, e) -> float | None:
     """Smallest admissible K for the K-condition, clamped to >= 1.
 
-    Returns None when some checked point has Re<f, e> <= 0 with ||f|| > 0,
-    in which case no finite K works.
+    Returns None when some node has Re<f, e> <= 0 with ||f|| > 0, in which
+    case no finite K works.
     """
-    e = _require_unit(e, "e")
-    _, values = check_points(f)
-    norms = np.linalg.norm(values, axis=1)
-    mask = norms > 0.0
-    if not np.any(mask):
-        raise ValueError("function vanishes at every checked point; no constants to estimate")
-    re = _inner_with(values[mask], e).real
-    if np.any(re <= 0.0):
+    norms, ip = _nonzero_projections(f, e)
+    if np.any(ip.real <= 0.0):
         return None
-    return max(1.0, float(np.max(norms[mask] / re)))
+    return max(1.0, float(np.max(norms / ip.real)))
 
 
 def disk_to_k(eta: float) -> float:

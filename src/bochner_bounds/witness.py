@@ -30,6 +30,7 @@ from .hypotheses import (
     OrthoDisk,
     OrthoMBounds,
     UnitVector,
+    family_form,
     tag_of,
 )
 
@@ -388,21 +389,8 @@ def generate(spec: FamilySpec, trial: int = 0) -> GridFunction:
         return _gen_window(seed, -h.theta, h.theta, spec.rmin, spec.rmax, spec.nodes, spec.interval)
     if isinstance(h, Disk):
         return gen_disk(seed, h.e, h.eta1, h.eta2, spec.nodes, spec.interval)
-    if isinstance(h, UnitVector):
-        return _gen_soc(
-            seed, h.e[None, :], np.array([h.k1]), np.array([h.k2]),
-            spec.rmin, spec.rmax, spec.nodes, spec.interval,
-        )
-    if isinstance(h, KCond):
-        return _gen_soc(
-            seed, h.e[None, :], np.array([1.0 / h.K]), np.array([0.0]),
-            spec.rmin, spec.rmax, spec.nodes, spec.interval,
-        )
-    if isinstance(h, Orthonormal):
-        return _gen_soc(
-            seed, h.fam.vectors, np.asarray(h.ks), np.asarray(h.hs),
-            spec.rmin, spec.rmax, spec.nodes, spec.interval,
-        )
+    if isinstance(h, (UnitVector, KCond, Orthonormal)):
+        return _gen_soc(seed, *family_form(h), spec.rmin, spec.rmax, spec.nodes, spec.interval)
     if isinstance(h, MBounds):
         rng = _rng(seed)
         c1 = 0.5 * (h.M1 + h.m1) * h.e

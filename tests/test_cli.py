@@ -152,6 +152,37 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     assert capsys.readouterr().err.startswith("error: output: ")
 
 
+def test_usage_errors_and_unread_flags_exit_1(capsys):
+    disk = str(INPUTS / "disk_lens.json")
+    witness = str(INPUTS / "witness_unit_vector.json")
+    bench = str(INPUTS / "bench_cone.json")
+    cases = [
+        ([], "command"),
+        (["check"], "--input"),
+        (["nope", "--input", disk], "command"),
+        (["certify", "--input", disk, "--quad-refine", "x"], "--quad-refine"),
+        (["certify", "--input", disk, "--quad-kind", "gauss"], "--quad-kind"),
+        # each subcommand accepts only the flags it reads
+        (["check", "--input", disk, "--quad-refine", "0"], "--quad-refine"),
+        (["check", "--input", disk, "--quad-kind", "trapezoid-on-nodes"], "--quad-kind"),
+        (["witness", "--input", witness, "--tol", "5"], "--tol"),
+        (["witness", "--input", witness, "--quad-kind", "trapezoid-on-nodes"], "--quad-kind"),
+        (["integrate", "--input", disk, "--tol", "5"], "--tol"),
+        (["bench", "--input", bench, "--tol", "1e-300"], "--tol"),
+        (["integrate", "--input", disk, "--seed", "1"], "--seed"),
+        (["check", "--input", disk, "--table"], "--table"),
+        (["bench", "--input", bench, "--seed", "-5"], "seed: must be >= 0, got -5"),
+    ]
+    for argv, field in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, (argv, err)
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "-h"])
+    assert exc.value.code == 0
+    assert "--quad-refine" in capsys.readouterr().out
+
+
 def test_witness_round_trip_through_files(tmp_path, capsys):
     out = tmp_path / "witness.json"
     status = main(["witness", "--input", str(INPUTS / "witness_unit_vector.json"),

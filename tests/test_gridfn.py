@@ -280,6 +280,28 @@ def test_panel_norm_integral_is_homogeneous_and_symmetric(panel, k):
 
 
 @settings(max_examples=200)
+@given(panels, st.integers(-1000, 1000))
+def test_panel_norm_integral_is_homogeneous_at_extreme_scales(panel, k):
+    # squares of such values under- or overflow unless the panel is rescaled first
+    x0, x1 = make_panel(panel[0], panel[1], 10.0 ** panel[2], panel[3])
+    got = panel_norm_integrals(x0[None], x1[None])[0]
+    scale = 2.0**k
+    assert panel_norm_integrals(scale * x0[None], scale * x1[None])[0] == scale * got
+
+
+def test_norm_integral_of_a_tiny_ramp():
+    # squares of these values underflow (giving NaN or 0) unless each panel is rescaled
+    x = 1.48978995e-160j
+    f = GridFunction(Interval(0, 1), [0.0, 0.5, 1.0], [[0], [0], [x]])
+    assert integrate_norm(f) == pytest.approx(abs(x) / 4, rel=1e-15)
+    assert abs(integrate_vector(f)[0]) <= integrate_norm(f)
+    x0, x1 = np.array([[1.0 + 0j]]), np.array([[2.0 + 0.1j]])
+    for scale in (1e-170, 1e300):
+        got = panel_norm_integrals(scale * x0, scale * x1)[0]
+        assert got == pytest.approx(scale * panel_norm_integrals(x0, x1)[0], rel=1e-15)
+
+
+@settings(max_examples=200)
 @given(panels)
 def test_panel_norm_integral_dominates_the_midpoint_norm(panel):
     x0, x1 = make_panel(panel[0], panel[1], 10.0 ** panel[2], panel[3])

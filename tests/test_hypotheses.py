@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bochner_bounds.gridfn import GridFunction, Interval, sample
+from bochner_bounds.gridfn import GridFunction, Interval, evaluate_many, sample
 from bochner_bounds.hilbert import OrthonormalFamily
 from bochner_bounds.hypotheses import (
     Cone,
@@ -88,9 +90,8 @@ def test_cone_skips_zero_samples():
     f = GridFunction(Interval(0, 1), nodes, vals)
     report = check(f, Cone(0.2, math.pi / 4 + 0.2))
     assert report.holds
-    # two interior chord midpoints adjacent to the zero keep nonzero values,
-    # only the zero node itself is skipped
-    assert report.checked_points == 8
+    # only the nodes are checked, and the zero node is skipped
+    assert report.checked_points == 4
 
 
 def test_karamata_symmetric_window():
@@ -307,6 +308,83 @@ def test_cone_bridge_to_unit_vector():
         )
         assert check(f, Cone(phi1, phi2)).holds
         assert check(f, UnitVector(E1, math.cos(phi2), math.sin(phi1)), tol=1e-9).holds
+
+
+# --- the node check decides the whole interpolated model --------------------
+
+TAGS = ("k_cond", "karamata", "cone", "unit_vector", "disk", "m_bounds",
+        "orthonormal", "ortho_disk", "ortho_m_bounds")
+
+
+def _random_class(rng, tag, d):
+    """A hypothesis of class ``tag`` in C^d and a point near its set."""
+    if tag == "karamata":
+        h = Karamata(rng.uniform(0.05, 1.5))
+        return h, np.exp(1j * rng.uniform(-h.theta - 0.6, h.theta + 0.6, (1, 1)))
+    if tag == "cone":
+        h = Cone(*np.sort(rng.uniform(0.0, 1.5, 2)))
+        return h, np.exp(1j * rng.uniform(h.phi1 - 0.6, h.phi2 + 0.6, (1, 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    n = int(rng.integers(1, d + 1))
+    fam = OrthonormalFamily(q.T[:n].copy())
+    e = fam.vectors[0]
+    ks, hs = rng.uniform(0.0, 0.6, n), rng.uniform(0.0, 0.6, n)
+    radii = rng.uniform(0.3, 0.99, (2, n))
+    ms = rng.uniform(0.1, 1.0, (2, n))
+    Ms = ms * rng.uniform(1.0, 5.0, (2, n))
+    h = {
+        "k_cond": lambda: KCond(e, rng.uniform(1.0, 3.0)),
+        "unit_vector": lambda: UnitVector(e, ks[0], hs[0]),
+        "disk": lambda: Disk(e, *radii[:, 0]),
+        "m_bounds": lambda: MBounds(e, ms[0, 0], Ms[0, 0], ms[1, 0], Ms[1, 0]),
+        "orthonormal": lambda: Orthonormal(fam, ks=tuple(ks), hs=tuple(hs)),
+        "ortho_disk": lambda: OrthoDisk(fam, rhos=tuple(radii[0]), etas=tuple(radii[1])),
+        "ortho_m_bounds": lambda: OrthoMBounds(
+            fam, ms=tuple(ms[0]), Ms=tuple(Ms[0]), ns=tuple(ms[1]), Ns=tuple(Ms[1])),
+    }[tag]()
+    center = rng.uniform(0.2, 1.2, n) + 1j * rng.uniform(0.2, 1.2, n)
+    return h, (center @ fam.vectors)[None, :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(TAGS),
+    st.integers(1, 3),
+    st.integers(2, 11),
+    st.sampled_from(("linear", "constleft")),
+    st.booleans(),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_node_check_is_exact_for_the_interpolated_model(tag, d, n, interp, jitter, seed):
+    rng = np.random.default_rng(seed)
+    h, center = _random_class(rng, tag, d)
+    d = center.shape[1]
+    spread = rng.choice([0.0, 0.05, 0.3, 1.0])
+    noise = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    values = rng.uniform(0.5, 2.0, (n, 1)) * center + spread * noise
+    values[rng.uniform(size=n) < 0.2] = 0.0
+    a = rng.uniform(-1.0, 1.0)
+    b = a + rng.uniform(0.1, 3.0)
+    inner = np.sort(rng.uniform(a, b, n - 2)) if jitter else np.linspace(a, b, n)[1:-1]
+    nodes = np.concatenate([[a], inner, [b]])
+    if np.any(np.diff(nodes) <= 0):
+        return
+    f = GridFunction(Interval(a, b), nodes, values, interp)
+    # the model resampled on a dense grid that keeps every node
+    ts = np.union1d(nodes, np.linspace(a, b, 4001))
+    dense = GridFunction(Interval(a, b), ts, evaluate_many(f, ts), interp)
+    try:
+        report = check(f, h)
+    except ValueError:  # f vanishes at every node, and so does its model
+        with pytest.raises(ValueError, match="vanishes"):
+            check(dense, h)
+        return
+    resampled = check(dense, h)
+    assert report.checked_points <= n
+    assert report.holds == resampled.holds
+    assert (report.note is None) == (resampled.note is None)
+    if report.note is None:
+        assert report.worst_margin == pytest.approx(resampled.worst_margin, rel=1e-12, abs=1e-12)
 
 
 # --- validation and serialization -------------------------------------------
