@@ -7,7 +7,8 @@ for non-integer, too small and oversized counts, for integers too large for
 a float and for numbers that are not JSON numbers, a byte-exact in-process
 re-render of a 1e4-node witness, and a nonnegative triangle slack from
 ``integrate`` on every bundled function under both the default rule and
-``--quad-refine 1``.  It also checks that ``check`` reads exactly the
+``--quad-refine 1``, and on a tiny ramp and a constant 1e308 function
+with no warning on stderr.  It also checks that ``check`` reads exactly the
 nodes of every bundled non-angular function, and that a usage error and a
 flag the subcommand does not read exit 1.  Any traceback on stderr counts
 as a failure.  Prints one line per check and exits nonzero if any check
@@ -229,6 +230,26 @@ def main() -> int:
                     r.returncode == 0 and doc["triangle_slack"] >= 0,
                     f"triangle_slack={doc.get('triangle_slack')!r}",
                 )
+
+        # values whose squares under- or overflow: the norms are scaled by powers of two
+        for label, nodes, values in (
+            ("a 1.49e-160 ramp", [0, 0.5, 1], [[[0, 0]], [[0, 0]], [[0, 1.48978995e-160]]]),
+            ("a constant 1e308", [0, 0.25, 0.5, 0.75, 1], [[[1e308, 0]]] * 5),
+        ):
+            path = tmpdir / "extreme.json"
+            path.write_text(
+                json.dumps({"schema": "bochner-bounds/1", "hypothesis": hyp,
+                            "function": {"a": 0, "b": 1, "nodes": nodes, "values": values}}),
+                encoding="utf-8",
+            )
+            r = run("integrate", "--input", str(path))
+            doc = json.loads(r.stdout) if r.returncode == 0 else {}
+            good &= expect(
+                f"integrate {label}: exit 0, triangle slack >= 0, no warning",
+                r.returncode == 0 and doc["triangle_slack"] >= 0
+                and "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr,
+                f"triangle_slack={doc.get('triangle_slack')!r} {r.stderr.strip()[-200:]}",
+            )
 
         for path in sorted(inputs.glob("*.json")):
             doc = json.loads(path.read_text())

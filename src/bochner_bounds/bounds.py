@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import DEFAULT_RULE, GridFunction, QuadratureRule, integrate_norm, integrate_vector
+from .hilbert import norm
 from .hypotheses import DEFAULT_CHECK_TOL, Cone, Hypothesis, check, family_form, tag_of
 from .jsonio import encode_pairs
 
@@ -98,10 +99,10 @@ def certify(
     coeff = min(raw, 1.0)
     vec = integrate_vector(f, rule)
     norm_integral = integrate_norm(f, rule)
-    true_norm = float(np.linalg.norm(vec))
+    true_norm = norm(vec)
     lower = coeff * norm_integral
     eq_vec = equality_direction(h) * norm_integral
-    residual = float(np.linalg.norm(vec - eq_vec))
+    residual = norm(vec - eq_vec)
     return BoundReport(
         hypothesis_tag=tag_of(h),
         coefficient=coeff,

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import pow2_scaled
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -113,8 +114,8 @@ class GridFunction:
             raise ValueError("values: must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if not (np.isclose(nodes[0], self.interval.a, rtol=0, atol=1e-12)
-                and np.isclose(nodes[-1], self.interval.b, rtol=0, atol=1e-12)):
+        if not (abs(nodes[0] - self.interval.a) <= 1e-12
+                and abs(nodes[-1] - self.interval.b) <= 1e-12):
             raise ValueError("nodes must start at a and end at b")
         if self.interpolation not in INTERPOLATIONS:
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
@@ -221,15 +222,11 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     term is 0 when p0 + n0 is, and I = n0 when L = 0.  h is taken from the
     midpoint, so I is bit-for-bit symmetric in the endpoints.  I is clamped
     to at least the midpoint's norm (Jensen), so the triangle inequality of
-    the integrals holds by construction.  Each panel is scaled exactly, by
-    a power of two, to a largest component in [0.5, 1), so no square under-
-    or overflows.
+    the integrals holds by construction.  Each panel is scaled exactly by
+    :func:`~bochner_bounds.hilbert.pow2_scaled`, so no square under- or
+    overflows.
     """
-    a = np.ascontiguousarray(x0, dtype=complex).view(float)
-    b = np.ascontiguousarray(x1, dtype=complex).view(float)
-    _, exp = np.frexp(np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
-    a = np.ldexp(a, -exp[:, None]).view(complex)
-    b = np.ldexp(b, -exp[:, None]).view(complex)
+    (a, b), exp = pow2_scaled(x0, x1)
     mid = 0.5 * a + 0.5 * b
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     n0, n_sum = np.minimum(na, nb), na + nb

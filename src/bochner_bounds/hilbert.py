@@ -15,6 +15,7 @@ __all__ = [
     "as_vector",
     "inner",
     "norm",
+    "pow2_scaled",
     "OrthonormalFamily",
     "GramViolation",
     "check_orthonormal",
@@ -41,10 +42,31 @@ def inner(u, v) -> complex:
     return complex(np.sum(u * np.conj(v)))
 
 
+def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
+    """Scale row k of every complex array by one power of two 2^-e_k, exactly.
+
+    e_k puts the largest |Re| or |Im| of row k, over all ``arrays``, in
+    [0.5, 1) (e_k = 0 for a zero row), so no square of a scaled entry
+    under- or overflows, and a norm of scaled rows times 2^e_k is the norm
+    of the rows.  A 1-D array is one row.  Returns (scaled arrays, e).
+    """
+    views = [np.ascontiguousarray(x, dtype=complex).view(float) for x in arrays]
+    peak = np.abs(views[0]).max(axis=-1, keepdims=True)
+    for v in views[1:]:
+        np.maximum(peak, np.abs(v).max(axis=-1, keepdims=True), out=peak)
+    exp = np.frexp(peak)[1]
+    return [np.ldexp(v, -exp).view(complex) for v in views], exp[..., 0]
+
+
 def norm(u) -> float:
-    """Euclidean norm sqrt(inner(u, u).real)."""
-    u = as_vector(u)
-    return float(np.linalg.norm(u))
+    """Euclidean norm sqrt(inner(u, u).real), with no squares that under- or overflow.
+
+    ``np.linalg.norm`` of u scaled by :func:`pow2_scaled`, scaled back: its
+    bits times a power of two, so ``np.linalg.norm(u)`` bit for bit where
+    no square of an entry of u under- or overflows.
+    """
+    (scaled,), exp = pow2_scaled(as_vector(u))
+    return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 
 @dataclass(frozen=True, eq=False)

@@ -393,7 +393,7 @@ def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> Con
     docstring).  ``holds`` iff the worst slack is >= -tol.  Ties on the
     worst point resolve to the smallest t.  Angular variants fail with a
     diagnostic note if any nonzero node has Re f <= 0, and skip nodes with
-    f(t) = 0.
+    f(t) = 0.  Raises ValueError if the worst slack is not finite.
     """
     dim = hypothesis_dim(h)
     if dim != f.dim:
@@ -404,6 +404,9 @@ def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> Con
     ts, slack = f.nodes[keep], slack[keep]
     worst = int(np.argmin(slack))
     worst_margin = float(slack[worst])
+    if not math.isfinite(worst_margin):  # node norms overflow for values above ~1e154
+        raise ValueError(f"worst_margin: non-finite slack {worst_margin!r}; "
+                         "the node values are too large to check")
     holds = worst_margin >= -tol and note is None
     return ConditionReport(
         holds=bool(holds),

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochner_bounds import cli
 from bochner_bounds.bounds import certify
 from bochner_bounds.cli import main, render_table
 from bochner_bounds.gridfn import Interval, sample
@@ -95,8 +98,8 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     m_bounds = {"type": "m_bounds", "e": [[1, 0]], "m1": 0.5, "M1": math.inf, "m2": 0.5, "M2": 2.0}
     cases = [
         (nan_values, ("check", "certify", "integrate"), "values"),
-        # finite samples whose norms overflow to inf
-        (constant_doc(1e308 + 0j, hyp), ("check", "certify", "integrate"), "non-finite"),
+        # finite samples whose node norms in the check overflow to inf
+        (constant_doc(1e308 + 0j, hyp), ("check", "certify"), "non-finite"),
         (constant_doc(1.0 + 0j, m_bounds), ("check", "certify"), "M1"),
         (constant_doc(1.0 + 0j, {"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5,
                                  "hs": [0.1]}), ("check", "certify"), "hypothesis.ks"),
@@ -150,6 +153,69 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     unwritable = str(tmp_path / "missing_dir" / "out.json")
     assert main(["integrate", "--input", str(INPUTS / "disk_lens.json"), "--output", unwritable]) == 1
     assert capsys.readouterr().err.startswith("error: output: ")
+
+
+def test_integrate_is_scale_safe(tmp_path, capsys):
+    hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    huge = constant_doc(1e308 + 0j, hyp)
+    ramp = constant_doc(0j, hyp, n=3)
+    ramp["function"]["values"][2] = [[0.0, 1.48978995e-160]]
+    slacks = []
+    for name, doc in (("huge.json", huge), ("ramp.json", ramp)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or underflow warning either
+            assert main(["integrate", "--input", write_doc(tmp_path, name, doc)]) == 0
+        slacks.append(json.loads(capsys.readouterr().out)["triangle_slack"])
+    assert slacks[0] == 0 and slacks[1] >= 0, slacks
+
+
+def _set_collecting(on: bool) -> None:
+    gc.enable() if on else gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_state_on_every_exit(collecting, tmp_path, capsys,
+                                                         monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops", encoding="utf-8")
+    cases = [(0, INPUTS / "cone_pi6_pi3.json"), (1, bad), (2, INPUTS / "failing_unit_vector.json")]
+    before = gc.isenabled()
+    try:
+        for status, path in cases:
+            _set_collecting(collecting)
+            assert main(["certify", "--input", str(path)]) == status
+            assert gc.isenabled() is collecting, status
+        seen = []
+
+        def failing_run(config):
+            seen.append(gc.isenabled())
+            raise TypeError("escapes main")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        _set_collecting(collecting)
+        with pytest.raises(TypeError, match="escapes main"):
+            main(["certify", "--input", str(INPUTS / "cone_pi6_pi3.json")])
+        assert gc.isenabled() is collecting
+        assert seen == [False]  # the command itself ran with collection paused
+    finally:
+        _set_collecting(before)
+    capsys.readouterr()
+
+
+def test_paused_collection_holds_no_garbage_that_grows_per_trial(capsys):
+    bench = ["bench", "--input", str(INPUTS / "bench_cone.json"), "--trials"]
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()  # what earlier tests left behind
+        counts = []
+        for trials in ("10", "2000"):
+            assert main(bench + [trials]) == 0
+            counts.append(gc.collect())
+    finally:
+        _set_collecting(before)
+    capsys.readouterr()
+    assert counts[0] == counts[1], counts
 
 
 def test_usage_errors_and_unread_flags_exit_1(capsys):

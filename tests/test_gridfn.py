@@ -78,6 +78,14 @@ def test_nodes_must_increase():
         GridFunction(Interval(0, 1), [0.0, 0.6, 0.5, 1.0], np.ones((4, 1), dtype=complex))
 
 
+def test_end_nodes_must_lie_within_1e_12_of_the_interval_ends():
+    ones = np.ones((3, 1), dtype=complex)
+    GridFunction(Interval(-1, 1), [-1 - 9e-13, 0.0, 1 + 9e-13], ones)
+    for nodes in ([-1 - 2e-12, 0.0, 1.0], [-1.0, 0.0, 1 - 2e-12], [-1.0, 0.0, 1 + 2e-12]):
+        with pytest.raises(ValueError, match="start at a and end at b"):
+            GridFunction(Interval(-1, 1), nodes, ones)
+
+
 def test_integrate_constant_is_exact():
     f = constant([0.3 + 0.4j, 1.0])
     assert np.allclose(integrate_vector(f, DEFAULT_RULE), [0.3 + 0.4j, 1.0])

@@ -54,6 +54,35 @@ def test_norm_values():
     assert norm([0.0, 0.0, 0.0]) == 0.0
 
 
+def test_norm_is_numpys_norm_bit_for_bit_in_the_normal_range():
+    rng = np.random.default_rng(20261018)
+    for d in range(1, 5):
+        for _ in range(5000):
+            # one magnitude per vector from 1e-100 to 1e100; components up to 1e3 apart
+            scale = 10.0 ** rng.uniform(-100, 100)
+            parts = rng.normal(size=(2, d)) * 10.0 ** rng.uniform(-3, 0, size=(2, d))
+            parts[rng.random(size=(2, d)) < 0.1] = 0.0
+            u = scale * (parts[0] + 1j * parts[1])
+            assert norm(u) == float(np.linalg.norm(u)), (d, u)
+            # moved by a power of two to about 1e-200 or 1e200, where squares under- or overflow
+            for target in (-200, 200):
+                k = round((target - math.log10(scale)) * math.log2(10))
+                scaled = np.ldexp(u.view(float), k).view(complex)
+                assert norm(scaled) == math.ldexp(np.linalg.norm(u), k), (d, u, k)
+
+
+def test_norm_neither_underflows_nor_overflows():
+    # np.linalg.norm squares the raw components: 0.04 % high here, inf below
+    tiny = 3.724474875e-161
+    assert norm([tiny * 1j]) == tiny
+    assert norm([1e308, 1e308]) == math.sqrt(2) * 1e308
+    assert norm([1e308 + 1e308j]) == math.sqrt(2) * 1e308
+    assert norm([5e-324, 0.0]) == 5e-324
+    u = np.array([0.3 - 0.4j, 1.2 + 0.0j, -0.7j])
+    for k in range(-1000, 1001, 37):
+        assert norm(np.ldexp(u.view(float), k).view(complex)) == math.ldexp(norm(u), k), k
+
+
 def test_check_orthonormal_standard_basis():
     fam = check_orthonormal(_basis(2), tol=1e-12)
     assert isinstance(fam, OrthonormalFamily)
