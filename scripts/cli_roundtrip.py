@@ -8,9 +8,11 @@ a float and for numbers that are not JSON numbers, a byte-exact in-process
 re-render of a 1e4-node witness, and a nonnegative triangle slack from
 ``integrate`` on every bundled function under both the default rule and
 ``--quad-refine 1``, and on a tiny ramp and a constant 1e308 function
-with no warning on stderr.  It also checks that ``check`` reads exactly the
-nodes of every bundled non-angular function, and that a usage error and a
-flag the subcommand does not read exit 1.  Any traceback on stderr counts
+with no warning on stderr.  It also checks that ``check`` and ``certify``
+exit 2 on five functions that break their class only at a tiny scale, or
+only where they are tiny next to their largest value, that
+``check`` reads exactly the nodes of every bundled function, and that a
+usage error and a flag the subcommand does not read exit 1.  Any traceback on stderr counts
 as a failure.  Prints one line per check and exits nonzero if any check
 failed.  The package must be importable: installed, or ``PYTHONPATH=src``.
 """
@@ -18,6 +20,7 @@ failed.  The package must be importable: installed, or ``PYTHONPATH=src``.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -251,10 +254,41 @@ def main() -> int:
                 f"triangle_slack={doc.get('triangle_slack')!r} {r.stderr.strip()[-200:]}",
             )
 
+        # functions that break their class at a tiny scale, or only where they
+        # are tiny next to their largest value: cone margins are relative to
+        # the sup norm of f on each panel
+        ray = [math.cos(0.7), math.sin(0.7)]
+        tail = [[ray], [[-1e-10 * x for x in ray]], [[-1e-10 * x for x in ray]]]
+        for label, hypothesis, nodes, values, interp in (
+            ("1e-12 * (1, -1, 1) under k_cond, K = 1", {"type": "k_cond", "e": [[1, 0]], "K": 1},
+             [0, 0.5, 1], [[[1e-12, 0]], [[-1e-12, 0]], [[1e-12, 0]]], "constleft"),
+            ("the real ramp [0, 0, 1.49e-160] under unit_vector, k2 = 1",
+             {"type": "unit_vector", "e": [[1, 0]], "k1": 0, "k2": 1},
+             [0, 0.5, 1], [[[0, 0]], [[0, 0]], [[1.49e-160, 0]]], "linear"),
+            ("e^{0.7i} then -1e-10 e^{0.7i} under cone(0.7, 0.7)",
+             {"type": "cone", "phi1": 0.7, "phi2": 0.7}, [0, 1e-9, 1], tail, "constleft"),
+            ("e^{0.7i} then -1e-10 e^{0.7i} under cone(0.1, 0.5)",
+             {"type": "cone", "phi1": 0.1, "phi2": 0.5}, [0, 1e-9, 1], tail, "constleft"),
+            ("1 then -1e-10 under k_cond, K = 1", {"type": "k_cond", "e": [[1, 0]], "K": 1},
+             [0, 1e-9, 1], [[[1, 0]], [[-1e-10, 0]], [[-1e-10, 0]]], "constleft"),
+        ):
+            path = tmpdir / "tiny.json"
+            path.write_text(
+                json.dumps({"schema": "bochner-bounds/1", "hypothesis": hypothesis,
+                            "function": {"a": 0, "b": 1, "nodes": nodes,
+                                         "values": values, "interp": interp}}),
+                encoding="utf-8",
+            )
+            for command in ("check", "certify"):
+                r = run(command, "--input", str(path))
+                good &= expect(f"{command} {label} exits 2",
+                               r.returncode == 2 and "Traceback" not in r.stderr,
+                               f"exit {r.returncode} {r.stderr.strip()[-200:]}")
+
         for path in sorted(inputs.glob("*.json")):
             doc = json.loads(path.read_text())
-            if "function" not in doc or doc["hypothesis"]["type"] in ("cone", "karamata"):
-                continue  # the angular classes skip zero nodes
+            if "function" not in doc:
+                continue
             r = run("check", "--input", str(path))
             got = json.loads(r.stdout)["checked_points"] if r.returncode in (0, 2) else None
             nodes = len(doc["function"]["nodes"])

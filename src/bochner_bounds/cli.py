@@ -7,6 +7,11 @@ violations), 2 = input was well-formed but the hypothesis failed (or bench
 found violations), 1 = malformed input or command line.  Each subcommand
 accepts only the flags it reads.
 
+``check`` writes a ``condition_report`` with ``holds``, ``worst_t`` (the
+node of the worst slack), ``worst_margin`` (that slack: relative to the
+sup norm of f on the panel for a cone constraint, absolute for a ball
+constraint, see :mod:`.hypotheses`) and ``checked_points`` (the number of nodes).
+
 :func:`main` owns its process for one command, so it pauses the cyclic
 garbage collector while the command runs: a parsed JSON document holds no
 reference cycle, and reference counting still frees everything.  It
@@ -109,7 +114,6 @@ def _condition_report_doc(report: ConditionReport) -> dict:
         "worst_t": report.worst_t,
         "worst_margin": report.worst_margin,
         "checked_points": report.checked_points,
-        "note": report.note,
     }
 
 

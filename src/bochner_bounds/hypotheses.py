@@ -4,12 +4,10 @@ Every hypothesis is a pointwise condition on f(t) relative to a unit vector e
 (or an orthonormal family), e.g. ``k1*||f|| <= Re<f, e>`` or
 ``||f - e|| <= eta1``.  A check evaluates the condition's slack at the
 stored nodes of f and reports the worst margin.  That is exact for the whole
-interpolated model, ``linear`` or ``constleft``.  Each slack below is a
-concave function of f(t), or for the angular classes a tent in arg f, and
-arg is monotone along a segment of the right half-plane; so along a linear
-panel no slack has an interior minimum, and a panel's worst slack sits at
-one of its two nodes.  The angular classes fail with a note at any nonzero
-node with Re f <= 0, where a panel may cross the branch cut of arg.
+interpolated model, ``linear`` or ``constleft``: each slack below is a
+concave function of f(t) divided by a constant of the panel, so along a
+linear panel no slack has an interior minimum, and a panel's worst slack
+sits at one of its two nodes.
 
 One normal form covers all nine classes: :func:`family_form` maps each to
 rows e_j of an orthonormal family and constants (k_j, h_j) such that
@@ -21,19 +19,21 @@ family counterparts at n = 1, the disk and annulus radii give
 ``e = 1, k = cos phi2, h = sin phi1``, the symmetric window is
 ``KCond(e=1, K=1/cos theta)``, and the K-condition is ``k = 1/K, h = 0``.
 
-Checked slacks per variant (negative slack = violated point):
+Each class is also exactly an intersection of two primitive constraints,
+which :func:`constraints` lists and the check evaluates: cones
+``k*||f|| <= Re<f, c>`` (unit c, k >= 0) and balls ``||f - c|| <= r``.
+The slack of each kind (negative slack = violated point) is
 
-* ``KCond``:       K*Re<f, e> - ||f||
-* ``Karamata``:    min(arg f + theta, theta - arg f), d = 1, needs Re f > 0
-* ``Orthonormal``: min over j of Re<f, e_j> - k_j*||f||, Im<f, e_j> - h_j*||f||
-* ``OrthoDisk``:   min over k of rho_k - ||f - e_k||, eta_k - ||f - i e_k||
-* ``OrthoMBounds``: min over k of Re<M_k e_k - f, f - m_k e_k>,
-  Re<N_k i e_k - f, f - n_k i e_k>
-* ``UnitVector``, ``Disk``, ``MBounds``: the family slack with n = 1
-* ``Cone``:        min(arg f - phi1, phi2 - arg f), d = 1, needs Re f > 0
+* cone: ``(Re<f, c> - k*||f||) / S``, where S is the sup norm of the model
+  on the panel: the larger of a linear panel's two end norms, or the left
+  node's own norm for ``constleft``.  A node takes the least slack over the
+  panels that touch it, and slack 0 where S = 0.  So a cone margin is
+  relative, even where f is small next to its largest value, and unchanged
+  by f -> 2^k f.  The values are first scaled by one power of two, so the
+  largest node norm neither under- nor overflows;
+* ball: ``r - ||f - c||``, in absolute units, as the centre fixes the scale.
 
-Points with f(t) = 0 satisfy the homogeneous conditions trivially and are
-skipped by the angular ones (the constraint is vacuous there).
+A node where f(t) = 0 has cone slack 0.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm
+from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "Cone",
     "Hypothesis",
     "family_form",
+    "constraints",
     "ConditionReport",
     "check",
     "mforms_agree",
@@ -306,6 +307,35 @@ def family_form(h: Hypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise TypeError(f"unknown hypothesis {type(h).__name__}")
 
 
+def constraints(h: Hypothesis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The primitive constraints ``((C, k), (B, r))`` whose intersection is ``h``.
+
+    f(t) satisfies ``h`` iff ``k[j]*||f|| <= Re<f, C[j]>`` for every cone
+    row C[j] (a unit vector, k[j] >= 0) and ``||f - B[j]|| <= r[j]`` for
+    every ball centre B[j].  Rows along e_j come first and rows along i e_j
+    after; Re<f, i e> = Im<f, e>.  An argument window lo <= arg f <= hi
+    (hi - lo < pi) is the two half-planes (k = 0) with normals i e^{i lo}
+    and -i e^{i hi}, and the half-plane about its bisector, which is never
+    the binding one inside the window but shuts out the opposite ray of a
+    window as narrow as the tolerance.
+    """
+    dim = hypothesis_dim(h)
+    none = np.empty((0, dim), dtype=complex), np.empty(0)
+    if isinstance(h, (Cone, Karamata)):
+        lo, hi = (h.phi1, h.phi2) if isinstance(h, Cone) else (-h.theta, h.theta)
+        normals = np.array([1j, -1j, 1.0]) * np.exp(1j * np.array([lo, hi, 0.5 * (lo + hi)]))
+        return (normals[:, None], np.zeros(3)), none
+    if isinstance(h, KCond):
+        return (h.e[None, :], np.array([1.0 / h.K])), none
+    vectors, consts = _per_vector(h)
+    if isinstance(h, (MBounds, OrthoMBounds)):
+        ms, Ms, ns, Ns = consts
+        centres = [(0.5 * (Ms + ms))[:, None] * vectors, (0.5 * (Ns + ns))[:, None] * 1j * vectors]
+        return none, (np.concatenate(centres), np.concatenate([0.5 * (Ms - ms), 0.5 * (Ns - ns)]))
+    rows = np.concatenate([vectors, 1j * vectors]), np.concatenate(consts)
+    return (rows, none) if isinstance(h, (UnitVector, Orthonormal)) else (none, rows)
+
+
 def hypothesis_dim(h: Hypothesis) -> int:
     """Ambient dimension required of f (angular variants are scalar-only)."""
     return family_form(h)[0].shape[1]
@@ -319,7 +349,6 @@ class ConditionReport:
     worst_t: float
     worst_margin: float
     checked_points: int
-    note: str | None = None
 
 
 def _inner_with(values: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -327,113 +356,93 @@ def _inner_with(values: np.ndarray, e: np.ndarray) -> np.ndarray:
     return values @ e.conj()
 
 
-def _angular_slacks(
-    values: np.ndarray, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Slacks of lo <= arg f <= hi for scalar samples; zero samples are skipped."""
-    z = values[:, 0]
-    keep = np.abs(z) > 0.0
-    bad_halfplane = bool(np.any(z[keep].real <= 0.0))
-    args = np.angle(z)
-    slack = np.minimum(args - lo, hi - args)
-    return slack, keep, bad_halfplane
+def _ball_slacks(values: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
+    """r_j - ||f(t) - c_j||, one array per ball."""
+    diff = np.empty_like(values)  # reused: a fresh difference per ball doubles the time
+    return [r - np.linalg.norm(np.subtract(values, c, out=diff), axis=1)
+            for c, r in zip(centres, radii)]
 
 
-def _slacks(values: np.ndarray, h: Hypothesis) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Per-point slack array, inclusion mask, and an optional diagnostic note."""
-    keep = np.ones(values.shape[0], dtype=bool)
-    note = None
-    if isinstance(h, KCond):
-        ip = _inner_with(values, h.e)
-        slack = h.K * ip.real - np.linalg.norm(values, axis=1)
-    elif isinstance(h, Cone):
-        slack, keep, bad = _angular_slacks(values, h.phi1, h.phi2)
-        if bad:
-            note = "Re f(t) <= 0 at a checked point; cone condition requires Re f > 0"
-    elif isinstance(h, Karamata):
-        slack, keep, bad = _angular_slacks(values, -h.theta, h.theta)
-        if bad:
-            note = "Re f(t) <= 0 at a checked point; argument window lies in the right half-plane"
-    elif isinstance(h, (UnitVector, Orthonormal)):
-        vectors, (ks, hs) = _per_vector(h)
-        ips = values @ vectors.conj().T
-        norms = np.linalg.norm(values, axis=1)
-        slack = np.minimum(
-            np.min(ips.real - norms[:, None] * ks[None, :], axis=1),
-            np.min(ips.imag - norms[:, None] * hs[None, :], axis=1),
-        )
-    elif isinstance(h, (Disk, OrthoDisk)):
-        vectors, (rhos, etas) = _per_vector(h)
-        d_re = np.linalg.norm(values[:, None, :] - vectors[None, :, :], axis=2)
-        d_im = np.linalg.norm(values[:, None, :] - 1j * vectors[None, :, :], axis=2)
-        slack = np.minimum(np.min(rhos - d_re, axis=1), np.min(etas - d_im, axis=1))
-    elif isinstance(h, (MBounds, OrthoMBounds)):
-        vectors, (ms, Ms, ns, Ns) = _per_vector(h)
-        cols = []
-        for k, e_k in enumerate(vectors):
-            cols.append(_ball_slack_sq(values, e_k, ms[k], Ms[k]))
-            cols.append(_ball_slack_sq(values, 1j * e_k, ns[k], Ns[k]))
-        slack = np.min(np.column_stack(cols), axis=1)
-    else:
-        raise TypeError(f"unknown hypothesis {type(h).__name__}")
-    return slack, keep, note
+def _panel_sups(norms: np.ndarray, interpolation: str) -> tuple[np.ndarray, ...]:
+    """Per node, the sup norm of the model on each panel that touches it.
+
+    A linear panel's sup norm is its larger end norm, as the norm is convex
+    along a segment; a constleft panel holds its left node's value.
+    """
+    if interpolation == "constleft":
+        return (norms,)
+    ends = np.maximum(norms[:-1], norms[1:])
+    return np.concatenate([ends[:1], ends]), np.concatenate([ends, ends[-1:]])
 
 
-def _ball_slack_sq(values: np.ndarray, center_dir: np.ndarray, m: float, M: float) -> np.ndarray:
-    """Re<M c - f, f - m c> for unit direction c; the form-(i) annulus slack."""
-    ip = _inner_with(values, center_dir)
-    nrm2 = np.sum(np.abs(values) ** 2, axis=1)
-    return (M + m) * ip.real - nrm2 - m * M
+def _slacks(values: np.ndarray, h: Hypothesis, interpolation: str = "linear") -> np.ndarray:
+    """Per-node slack: the least over the cone and ball constraints of ``h``."""
+    (cones, ks), (centres, radii) = constraints(h)
+    slack = np.inf
+    if ks.size:
+        # cone slacks are homogeneous: scaling the whole array by one exact
+        # power of two leaves them as they are, and keeps the squares in the
+        # norms from under- or overflowing
+        (scaled,), _ = pow2_scaled(values.reshape(1, -1))
+        x = scaled.view(float).reshape(values.shape[0], -1)  # C^d as R^2d
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        cone = np.full(len(x), np.inf)
+        for c, k in zip(cones.view(float), ks):
+            re = x @ c  # Re<f, c> is the dot product of the float views
+            re -= k * norms
+            np.minimum(cone, re, out=cone)
+        # a zero sup means f = 0 on the panel, where the slack is 0
+        slack = np.minimum.reduce([np.divide(cone, sup, out=np.zeros_like(cone), where=sup > 0.0)
+                                   for sup in _panel_sups(norms, interpolation)])
+    if radii.size:
+        slack = np.minimum(slack, np.minimum.reduce(_ball_slacks(values, centres, radii)))
+    return slack
 
 
 def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> ConditionReport:
     """Evaluate the hypothesis at every node of ``f``.
 
     The nodes decide it for the whole interpolated model (see the module
-    docstring).  ``holds`` iff the worst slack is >= -tol.  Ties on the
-    worst point resolve to the smallest t.  Angular variants fail with a
-    diagnostic note if any nonzero node has Re f <= 0, and skip nodes with
-    f(t) = 0.  Raises ValueError if the worst slack is not finite.
+    docstring).  ``holds`` iff the worst slack is >= -tol: cone slacks are
+    relative to the sup norm of f on the panel and ball slacks absolute, so
+    ``tol`` is relative for the homogeneous classes and absolute for the
+    disk and annulus classes.  Every node counts, f(t) = 0 included.  Ties on the
+    worst point resolve to the smallest t.  Raises ValueError if the worst
+    slack is not finite.
     """
     dim = hypothesis_dim(h)
     if dim != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={dim}")
-    slack, keep, note = _slacks(f.values, h)
-    if not np.any(keep):
-        raise ValueError("function vanishes at every checked point; hypothesis check is vacuous")
-    ts, slack = f.nodes[keep], slack[keep]
+    slack = _slacks(f.values, h, f.interpolation)
     worst = int(np.argmin(slack))
     worst_margin = float(slack[worst])
-    if not math.isfinite(worst_margin):  # node norms overflow for values above ~1e154
+    if not math.isfinite(worst_margin):  # ball distances overflow for values above ~1e154
         raise ValueError(f"worst_margin: non-finite slack {worst_margin!r}; "
                          "the node values are too large to check")
-    holds = worst_margin >= -tol and note is None
     return ConditionReport(
-        holds=bool(holds),
-        worst_t=float(ts[worst]),
+        holds=worst_margin >= -tol,
+        worst_t=float(f.nodes[worst]),
         worst_margin=worst_margin,
         checked_points=int(slack.size),
-        note=note,
     )
 
 
 def mforms_agree(f: GridFunction, h: MBounds, tol: float = DEFAULT_CHECK_TOL) -> bool:
     """Compare the two annulus formulations pointwise.
 
-    Form (i) is the inner-product sign condition; form (ii) bounds the
-    distance to the midpoint (M+m)/2 e by (M-m)/2.  Returns True iff both
-    give the same verdict at every node, for both the e and the i*e
-    condition.
+    Form (i) is the inner-product sign condition ``Re<M c - f, f - m c> >=
+    0``; form (ii) is the check's ball ``||f - (M+m)/2 c|| <= (M-m)/2``
+    from :func:`constraints`.  Returns True iff both give the same verdict
+    at every node, for c = e and for c = i*e.
     """
     if not isinstance(h, MBounds):
         raise TypeError("mforms_agree requires an MBounds hypothesis")
     if h.e.size != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={h.e.size}")
-    for center_dir, m, M in ((h.e, h.m1, h.M1), (1j * h.e, h.m2, h.M2)):
-        form_i = _ball_slack_sq(f.values, center_dir, m, M) >= -tol
-        dist = np.linalg.norm(f.values - 0.5 * (M + m) * center_dir, axis=1)
-        form_ii = 0.5 * (M - m) - dist >= -tol
-        if not np.array_equal(form_i, form_ii):
+    form_ii = [slack >= -tol for slack in _ball_slacks(f.values, *constraints(h)[1])]
+    for j, (c, m, M) in enumerate(((h.e, h.m1, h.M1), (1j * h.e, h.m2, h.M2))):
+        form_i = np.sum((M * c - f.values) * np.conj(f.values - m * c), axis=1).real >= -tol
+        if not np.array_equal(form_i, form_ii[j]):
             return False
     return True
 

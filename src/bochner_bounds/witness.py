@@ -19,17 +19,16 @@ import numpy as np
 
 from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
+from .hilbert import norm
 from .hypotheses import (
     Cone,
     Disk,
     Hypothesis,
     Karamata,
     KCond,
-    MBounds,
     Orthonormal,
-    OrthoDisk,
-    OrthoMBounds,
     UnitVector,
+    constraints,
     family_form,
     tag_of,
 )
@@ -220,35 +219,6 @@ def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g * radii[:, None]
 
 
-def _rejection_between_balls(
-    rng: np.random.Generator,
-    nodes: int,
-    c1: np.ndarray,
-    r1: float,
-    c2: np.ndarray,
-    r2: float,
-    cap: int,
-) -> np.ndarray:
-    """Uniform samples from ball(c1, r1) kept only if also in ball(c2, r2)."""
-    dim = c1.size
-    accepted: list[np.ndarray] = []
-    got = 0
-    attempts = 0
-    while got < nodes:
-        batch = max(128, 4 * (nodes - got))
-        if attempts + batch > cap * nodes:
-            raise RuntimeError(
-                f"rejection sampling exceeded {cap} attempts per node "
-                f"(accepted {got}/{nodes}); the intersection is too thin"
-            )
-        cand = c1 + r1 * _unit_ball(rng, batch, dim)
-        keep = np.linalg.norm(cand - c2, axis=1) <= r2
-        accepted.append(cand[keep])
-        got += int(np.count_nonzero(keep))
-        attempts += batch
-    return np.concatenate(accepted)[:nodes]
-
-
 def gen_disk(
     seed: int,
     e,
@@ -265,20 +235,51 @@ def gen_disk(
     tangency point when the closed disks merely touch.
     """
     h = Disk(e=np.atleast_1d(np.asarray(e, dtype=complex)), eta1=eta1, eta2=eta2)
+    return _gen_two_balls(seed, *constraints(h)[1], nodes, interval, cap)
+
+
+def _gen_two_balls(
+    seed: int,
+    centres: np.ndarray,
+    radii: np.ndarray,
+    nodes: int,
+    interval: Interval,
+    cap: int = REJECTION_CAP,
+) -> GridFunction:
+    """Samples from the intersection of two closed balls, or their tangency point.
+
+    Uniform samples from the first ball are kept only if they also lie in
+    the second.
+    """
     if nodes < 2:
         raise ValueError("nodes must be >= 2")
-    gap_to_touch = (eta1 + eta2) - math.sqrt(2.0)
+    (c1, c2), (r1, r2) = centres, radii.tolist()
+    dist = norm(c2 - c1)
+    gap_to_touch = (r1 + r2) - dist
     if gap_to_touch < 0.0:
         raise ValueError(
-            f"empty intersection: eta1 + eta2 = {eta1 + eta2!r} < sqrt(2); "
-            "the disks around e and i*e are disjoint"
+            f"empty intersection: the radii sum to {r1 + r2!r} < {dist!r}, "
+            "the distance of the centres; the balls are disjoint"
         )
     if gap_to_touch <= 1e-12:
-        point = h.e + (eta1 / math.sqrt(2.0)) * (1j * h.e - h.e)
-        return _constant(interval, nodes, point)
+        return _constant(interval, nodes, c1 + (r1 / dist) * (c2 - c1))
     rng = _rng(seed)
-    vals = _rejection_between_balls(rng, nodes, h.e, eta1, 1j * h.e, eta2, cap)
-    return _uniform_grid(interval, nodes, vals)
+    accepted: list[np.ndarray] = []
+    got = 0
+    attempts = 0
+    while got < nodes:
+        batch = max(128, 4 * (nodes - got))
+        if attempts + batch > cap * nodes:
+            raise RuntimeError(
+                f"rejection sampling exceeded {cap} attempts per node "
+                f"(accepted {got}/{nodes}); the intersection is too thin"
+            )
+        cand = c1 + r1 * _unit_ball(rng, batch, c1.size)
+        keep = np.linalg.norm(cand - c2, axis=1) <= r2
+        accepted.append(cand[keep])
+        got += int(np.count_nonzero(keep))
+        attempts += batch
+    return _uniform_grid(interval, nodes, np.concatenate(accepted)[:nodes])
 
 
 def _gen_soc(
@@ -387,34 +388,17 @@ def generate(spec: FamilySpec, trial: int = 0) -> GridFunction:
         return gen_cone(seed, h.phi1, h.phi2, spec.rmin, spec.rmax, spec.nodes, spec.interval)
     if isinstance(h, Karamata):
         return _gen_window(seed, -h.theta, h.theta, spec.rmin, spec.rmax, spec.nodes, spec.interval)
-    if isinstance(h, Disk):
-        return gen_disk(seed, h.e, h.eta1, h.eta2, spec.nodes, spec.interval)
     if isinstance(h, (UnitVector, KCond, Orthonormal)):
         return _gen_soc(seed, *family_form(h), spec.rmin, spec.rmax, spec.nodes, spec.interval)
-    if isinstance(h, MBounds):
-        rng = _rng(seed)
-        c1 = 0.5 * (h.M1 + h.m1) * h.e
-        c2 = 0.5 * (h.M2 + h.m2) * 1j * h.e
-        r1, r2 = 0.5 * (h.M1 - h.m1), 0.5 * (h.M2 - h.m2)
-        if float(np.linalg.norm(c1 - c2)) > r1 + r2:
-            raise ValueError("empty intersection: the two annulus balls are disjoint")
-        vals = _rejection_between_balls(rng, spec.nodes, c1, r1, c2, r2, REJECTION_CAP)
-        return _uniform_grid(spec.interval, spec.nodes, vals)
-    if isinstance(h, OrthoDisk):
-        centers = np.concatenate([h.fam.vectors, 1j * h.fam.vectors])
-        radii = np.concatenate([np.asarray(h.rhos), np.asarray(h.etas)])
-        return _gen_inner_ball(seed, centers, radii, spec.nodes, spec.interval)
-    if isinstance(h, OrthoMBounds):
-        mids_re = 0.5 * (np.asarray(h.Ms) + np.asarray(h.ms))
-        mids_im = 0.5 * (np.asarray(h.Ns) + np.asarray(h.ns))
-        centers = np.concatenate(
-            [mids_re[:, None] * h.fam.vectors, mids_im[:, None] * 1j * h.fam.vectors]
-        )
-        radii = np.concatenate(
-            [0.5 * (np.asarray(h.Ms) - np.asarray(h.ms)), 0.5 * (np.asarray(h.Ns) - np.asarray(h.ns))]
-        )
-        return _gen_inner_ball(seed, centers, radii, spec.nodes, spec.interval)
-    raise ValueError(f"no generator family for hypothesis {tag_of(h)!r}")
+    centres, radii = constraints(h)[1]
+    if radii.size == 2:
+        try:
+            return _gen_two_balls(seed, centres, radii, spec.nodes, spec.interval)
+        except RuntimeError:  # too thin for rejection sampling
+            pass
+    # more than two balls, or two that rejection cannot hit: sample a ball
+    # inscribed in them all
+    return _gen_inner_ball(seed, centres, radii, spec.nodes, spec.interval)
 
 
 @dataclass(frozen=True)

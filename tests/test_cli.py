@@ -1,3 +1,4 @@
+import cmath
 import gc
 import json
 import math
@@ -98,8 +99,9 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     m_bounds = {"type": "m_bounds", "e": [[1, 0]], "m1": 0.5, "M1": math.inf, "m2": 0.5, "M2": 2.0}
     cases = [
         (nan_values, ("check", "certify", "integrate"), "values"),
-        # finite samples whose node norms in the check overflow to inf
-        (constant_doc(1e308 + 0j, hyp), ("check", "certify"), "non-finite"),
+        # finite samples whose distances to a ball centre overflow to inf
+        (constant_doc(1e308 + 0j, {"type": "disk", "e": [[1, 0]], "eta1": 0.9, "eta2": 0.9}),
+         ("check", "certify"), "non-finite"),
         (constant_doc(1.0 + 0j, m_bounds), ("check", "certify"), "M1"),
         (constant_doc(1.0 + 0j, {"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5,
                                  "hs": [0.1]}), ("check", "certify"), "hypothesis.ks"),
@@ -167,6 +169,47 @@ def test_integrate_is_scale_safe(tmp_path, capsys):
             assert main(["integrate", "--input", write_doc(tmp_path, name, doc)]) == 0
         slacks.append(json.loads(capsys.readouterr().out)["triangle_slack"])
     assert slacks[0] == 0 and slacks[1] >= 0, slacks
+
+
+def _small_tail_doc(head, hypothesis):
+    """constleft ``head`` on [0, 1e-9), then -1e-10 * head: outside its class."""
+    doc = constant_doc(0j, hypothesis, n=3)
+    doc["function"].update(nodes=[0.0, 1e-9, 1.0], interp="constleft",
+                           values=[[[v.real, v.imag]] for v in (head, -1e-10 * head, -1e-10 * head)])
+    return doc
+
+
+def test_cone_checks_are_scale_free(tmp_path, capsys):
+    # cone margins are relative to the sup norm of f on each panel, so the
+    # absolute --tol cannot pass a function, or a part of one, for being small
+    kcond = constant_doc(0j, {"type": "k_cond", "e": [[1, 0]], "K": 1.0}, n=3)
+    kcond["function"]["values"] = [[[1e-12, 0.0]], [[-1e-12, 0.0]], [[1e-12, 0.0]]]
+    kcond["function"]["interp"] = "constleft"
+    ramp = constant_doc(0j, {"type": "unit_vector", "e": [[1, 0]], "k1": 0.0, "k2": 1.0}, n=3)
+    ramp["function"]["values"][2] = [[1.49e-160, 0.0]]
+    # node norms whose squares underflow
+    kcond_170 = json.loads(json.dumps(kcond).replace("e-12", "e-170"))
+    kcond_170["function"]["interp"] = "linear"
+    ray = cmath.exp(0.7j)
+    tails = [_small_tail_doc(ray, {"type": "cone", "phi1": lo, "phi2": hi})
+             for lo, hi in ((0.7, 0.7), (0.1, 0.5))]
+    tails.append(_small_tail_doc(1 + 0j, {"type": "k_cond", "e": [[1, 0]], "K": 1.0}))
+    docs = [("kcond.json", kcond), ("ramp.json", ramp), ("kcond_170.json", kcond_170)]
+    docs += [(f"tail_{i}.json", doc) for i, doc in enumerate(tails)]
+    for name, doc in docs:
+        path = write_doc(tmp_path, name, doc)
+        assert main(["check", "--input", path]) == 2, name
+        assert json.loads(capsys.readouterr().out)["worst_margin"] < -0.5
+        assert main(["certify", "--input", path]) == 2, name
+        assert json.loads(capsys.readouterr().out)["hypothesis_verified"] is False
+    # and node norms whose squares overflow: this constant is in its class
+    hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    path = write_doc(tmp_path, "huge.json", constant_doc(1e308 + 0j, hyp))
+    for command in ("check", "certify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--input", path]) == 0, command
+        capsys.readouterr()
 
 
 def _set_collecting(on: bool) -> None:

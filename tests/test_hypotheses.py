@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bochner_bounds.gridfn import GridFunction, Interval, evaluate_many, sample
@@ -18,7 +18,9 @@ from bochner_bounds.hypotheses import (
     OrthoDisk,
     OrthoMBounds,
     UnitVector,
+    DEFAULT_CHECK_TOL,
     check,
+    constraints,
     disk_feasible,
     disk_to_k,
     estimate_K,
@@ -28,6 +30,7 @@ from bochner_bounds.hypotheses import (
     mM_to_k,
     mforms_agree,
 )
+from bochner_bounds.hypotheses import _slacks
 
 E1 = np.array([1.0 + 0j])
 E2 = np.eye(2, dtype=complex)
@@ -77,21 +80,24 @@ def test_cone_on_its_own_arc():
     assert report.worst_margin == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cone_rejects_left_halfplane_with_note():
-    report = check(constant([-1.0 + 0.1j]), Cone(0.1, 0.5))
+def test_cone_rejects_left_halfplane():
+    z = -1.0 + 0.1j
+    report = check(constant([z]), Cone(0.1, 0.5))
     assert not report.holds
-    assert report.note is not None
+    # the half-plane about the window's bisector 0.3 binds: Re<f, e^{0.3i}> / ||f||
+    assert report.worst_margin == pytest.approx((z * cmath.exp(-0.3j)).real / abs(z), rel=1e-12)
 
 
-def test_cone_skips_zero_samples():
+def test_cone_counts_zero_samples():
     nodes = np.linspace(0, 1, 5)
     vals = np.full((5, 1), 1.0 + 1.0j)
     vals[2] = 0.0
     f = GridFunction(Interval(0, 1), nodes, vals)
     report = check(f, Cone(0.2, math.pi / 4 + 0.2))
     assert report.holds
-    # only the nodes are checked, and the zero node is skipped
-    assert report.checked_points == 4
+    # every node is checked, and the zero node has slack 0
+    assert report.checked_points == 5
+    assert report.worst_margin == 0.0 and report.worst_t == 0.5
 
 
 def test_karamata_symmetric_window():
@@ -103,7 +109,8 @@ def test_karamata_symmetric_window():
 def test_kcond_margin():
     report = check(constant(E1), KCond(E1, 2.0))
     assert report.holds
-    assert report.worst_margin == pytest.approx(1.0)
+    # (Re<f, e> - ||f|| / K) / max ||f||
+    assert report.worst_margin == pytest.approx(0.5)
 
 
 def test_dimension_mismatch_raises():
@@ -111,9 +118,13 @@ def test_dimension_mismatch_raises():
         check(constant([1.0, 0.0]), UnitVector(E1, 0.5, 0.0))
 
 
-def test_zero_function_is_vacuous_for_cone():
-    with pytest.raises(ValueError, match="vanishes"):
-        check(constant([0.0]), Cone(0.1, 0.5))
+def test_zero_function_holds_with_margin_0():
+    fam = OrthonormalFamily(E1[None, :])
+    for h in (Cone(0.1, 0.5), Karamata(0.7), KCond(E1, 2.0), UnitVector(E1, 0.6, 0.8),
+              Orthonormal(fam, ks=(0.3,), hs=(0.4,))):
+        report = check(constant([0.0]), h)
+        assert report.holds
+        assert (report.worst_margin, report.worst_t, report.checked_points) == (0.0, 0.0, 5)
 
 
 def test_orthonormal_variant_collapses_to_unit_vector():
@@ -370,21 +381,117 @@ def test_node_check_is_exact_for_the_interpolated_model(tag, d, n, interp, jitte
     if np.any(np.diff(nodes) <= 0):
         return
     f = GridFunction(Interval(a, b), nodes, values, interp)
-    # the model resampled on a dense grid that keeps every node
-    ts = np.union1d(nodes, np.linspace(a, b, 4001))
-    dense = GridFunction(Interval(a, b), ts, evaluate_many(f, ts), interp)
-    try:
-        report = check(f, h)
-    except ValueError:  # f vanishes at every node, and so does its model
-        with pytest.raises(ValueError, match="vanishes"):
-            check(dense, h)
-        return
-    resampled = check(dense, h)
-    assert report.checked_points <= n
-    assert report.holds == resampled.holds
-    assert (report.note is None) == (resampled.note is None)
-    if report.note is None:
-        assert report.worst_margin == pytest.approx(resampled.worst_margin, rel=1e-12, abs=1e-12)
+    report = check(f, h)
+    resampled = _dense_model_margin(f, h)
+    assert report.checked_points == n
+    assert report.holds == (resampled >= -DEFAULT_CHECK_TOL)
+    assert report.worst_margin == pytest.approx(resampled, rel=1e-12, abs=1e-12)
+
+
+def _dense_model_margin(f, h, per_panel=400):
+    """The worst slack of the model of f on a dense grid of each panel.
+
+    A cone slack is divided by the sup norm of the model on its panel, read
+    off the dense samples, and is 0 where that sup is 0.
+    """
+    (cones, ks), (centres, radii) = constraints(h)
+    constleft = f.interpolation == "constleft"
+    worst = np.inf
+    for p in range(f.nodes.size - 1 + constleft):  # constleft: the last node on its own
+        ts = f.nodes[p:p + 2]
+        if ts.size == 2:
+            ts = np.linspace(ts[0], ts[1], per_panel, endpoint=not constleft)
+        v = evaluate_many(f, ts)
+        slacks = [r - np.linalg.norm(v - c, axis=1) for c, r in zip(centres, radii)]
+        if ks.size:
+            norms = np.linalg.norm(v, axis=1)
+            cone = np.min([(v @ c.conj()).real - k * norms for c, k in zip(cones, ks)], axis=0)
+            sup = norms.max()
+            slacks.append(cone / sup if sup > 0.0 else 0.0 * cone)
+        worst = min(worst, *map(np.min, slacks))
+    return float(worst)
+
+
+# --- cone margins are relative, windows are half-planes ----------------------
+
+CONE_TAGS = ("k_cond", "karamata", "cone", "unit_vector", "orthonormal")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CONE_TAGS),
+    st.integers(1, 3),
+    st.integers(2, 11),
+    st.sampled_from(("linear", "constleft")),
+    st.integers(-1000, 1000),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_cone_checks_are_unchanged_by_powers_of_two(tag, d, n, interp, k, seed):
+    rng = np.random.default_rng(seed)
+    h, center = _random_class(rng, tag, d)
+    d = center.shape[1]
+    spread = rng.choice([0.0, 0.05, 0.3, 1.0])
+    noise = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    values = rng.uniform(0.5, 2.0, (n, 1)) * center + spread * noise
+    values[rng.uniform(size=n) < 0.2] = 0.0
+    nodes = np.linspace(0.0, 1.0, n)
+    # scale the real and imaginary parts on their own, so signed zeros stay
+    scaled = np.ldexp(values.view(float), k).view(complex)
+    assume(np.array_equal(np.ldexp(scaled.view(float), -k), values.view(float)))  # 2^k f is exact
+    reports = [check(GridFunction(Interval(0, 1), nodes, v, interp), h) for v in (values, scaled)]
+    bits = [(r.holds, r.worst_t.hex(), r.worst_margin.hex(), r.checked_points) for r in reports]
+    assert bits[0] == bits[1]
+
+
+def _angular_slacks(values, lo, hi):
+    """The former radian slack of lo <= arg f <= hi; zero samples are skipped."""
+    z = values[:, 0]
+    keep = np.abs(z) > 0.0
+    bad_halfplane = bool(np.any(z[keep].real <= 0.0))
+    args = np.angle(z)
+    slack = np.minimum(args - lo, hi - args)
+    return slack, keep, bad_halfplane
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_half_plane_windows_agree_with_the_argument(is_cone, u, w, seed):
+    if is_cone:
+        phi2 = u * (math.pi / 2) * (1 - 1e-12)
+        h, lo, hi = Cone(w * phi2, phi2), w * phi2, phi2
+    else:
+        theta = max(u, 1e-9) * (math.pi / 2) * (1 - 1e-12)
+        h, lo, hi = Karamata(theta), -theta, theta
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-math.pi, math.pi, 2000)
+    z = rng.uniform(1e-3, 10.0, 2000) * np.exp(1j * phi)
+    edge = np.minimum(np.abs(np.angle(np.exp(1j * (phi - lo)))),
+                      np.abs(np.angle(np.exp(1j * (phi - hi)))))
+    values = z[edge > 1e-6][:, None]
+    reference, keep, _ = _angular_slacks(values, lo, hi)
+    assert keep.all()
+    assert np.array_equal(_slacks(values, h) >= 0.0, reference >= 0.0)
+
+
+def test_a_window_narrower_than_the_tolerance_still_shuts_out_its_opposite_ray():
+    for h, phi in ((Cone(0.7, 0.7), 0.7), (Cone(0.3, 0.3 + 1e-12), 0.3)):
+        ray = cmath.exp(1j * phi)
+        assert check(constant([ray]), h).holds
+        report = check(constant([-ray]), h)
+        assert not report.holds and report.worst_margin == pytest.approx(-1.0)
+
+
+def test_constraints_list_the_e_rows_before_the_i_e_rows():
+    fam = OrthonormalFamily(E2)
+    (cones, ks), (centres, radii) = constraints(Orthonormal(fam, ks=(0.1, 0.2), hs=(0.3, 0.4)))
+    assert np.array_equal(cones, np.concatenate([E2, 1j * E2])) and centres.shape == (0, 2)
+    assert ks.tolist() == [0.1, 0.2, 0.3, 0.4] and radii.size == 0
+    h = OrthoMBounds(fam, ms=(1.0, 2.0), Ms=(3.0, 4.0), ns=(0.5, 1.0), Ns=(1.5, 5.0))
+    (cones, ks), (centres, radii) = constraints(h)
+    assert cones.shape == (0, 2) and ks.size == 0
+    assert np.array_equal(centres, np.array([[2, 0], [0, 3], [1j, 0], [0, 3j]]))
+    assert radii.tolist() == [1.0, 1.0, 0.5, 2.0]
+    assert constraints(KCond(E1, 4.0))[0][1].tolist() == [0.25]
 
 
 # --- validation and serialization -------------------------------------------

@@ -17,7 +17,9 @@ from bochner_bounds.hypotheses import (
     OrthoMBounds,
     UnitVector,
     check,
+    constraints,
 )
+from bochner_bounds import witness
 from bochner_bounds.witness import (
     FamilySpec,
     WitnessSpec,
@@ -188,6 +190,18 @@ def test_generate_is_deterministic_per_trial():
     assert np.array_equal(a.values, b.values)
     c = generate(spec, 4)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_generate_samples_an_inscribed_ball_where_rejection_fails(monkeypatch):
+    def too_thin(*args, **kwargs):
+        raise RuntimeError("rejection sampling exceeded the cap")
+
+    monkeypatch.setattr(witness, "_gen_two_balls", too_thin)
+    h = OrthoDisk(OrthonormalFamily(E1[None, :]), rhos=(0.70711,), etas=(0.70711,))
+    spec = FamilySpec(hypothesis=h, seed=5)
+    f = generate(spec, 2)
+    inner = witness._gen_inner_ball(7, *constraints(h)[1], spec.nodes, spec.interval)
+    assert np.array_equal(f.values, inner.values) and check(f, h).holds
 
 
 def test_tightness_cone_family():
