@@ -7,8 +7,9 @@ for non-integer, too small and oversized counts, for integers too large for
 a float and for numbers that are not JSON numbers, a byte-exact in-process
 re-render of a 1e4-node witness, and a nonnegative triangle slack from
 ``integrate`` on every bundled function under both the default rule and
-``--quad-refine 1``, and on a tiny ramp and a constant 1e308 function
-with no warning on stderr.  It also checks that ``check`` and ``certify``
+``--quad-refine 1``, and on a tiny ramp and a constant 1e308 function,
+``linear`` and ``constleft``, under the default rule and both rules on the
+nodes, with no warning on stderr.  It also checks that ``check`` and ``certify``
 exit 2 on five functions that break their class only at a tiny scale, or
 only where they are tiny next to their largest value, that
 ``check`` reads exactly the nodes of every bundled function, and that a
@@ -19,6 +20,7 @@ failed.  The package must be importable: installed, or ``PYTHONPATH=src``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
@@ -234,21 +236,26 @@ def main() -> int:
                     f"triangle_slack={doc.get('triangle_slack')!r}",
                 )
 
-        # values whose squares under- or overflow: the norms are scaled by powers of two
-        for label, nodes, values in (
-            ("a 1.49e-160 ramp", [0, 0.5, 1], [[[0, 0]], [[0, 0]], [[0, 1.48978995e-160]]]),
-            ("a constant 1e308", [0, 0.25, 0.5, 0.75, 1], [[[1e308, 0]]] * 5),
+        # values whose squares under- or overflow: the norms are scaled by powers
+        # of two, under the model rule and under the rules on the nodes
+        for (label, nodes, values), interp, flags in itertools.product(
+            (("a 1.49e-160 ramp", [0, 0.5, 1], [[[0, 0]], [[0, 0]], [[0, 1.48978995e-160]]]),
+             ("a constant 1e308", [0, 0.25, 0.5, 0.75, 1], [[[1e308, 0]]] * 5)),
+            ("linear", "constleft"),
+            ([], ["--quad-refine", "1"], ["--quad-kind", "trapezoid-on-nodes", "--quad-refine", "1"]),
         ):
             path = tmpdir / "extreme.json"
             path.write_text(
                 json.dumps({"schema": "bochner-bounds/1", "hypothesis": hyp,
-                            "function": {"a": 0, "b": 1, "nodes": nodes, "values": values}}),
+                            "function": {"a": 0, "b": 1, "nodes": nodes, "values": values,
+                                         "interp": interp}}),
                 encoding="utf-8",
             )
-            r = run("integrate", "--input", str(path))
+            r = run("integrate", "--input", str(path), *flags)
             doc = json.loads(r.stdout) if r.returncode == 0 else {}
             good &= expect(
-                f"integrate {label}: exit 0, triangle slack >= 0, no warning",
+                f"integrate {label}, {interp}, {' '.join(flags) or 'default rule'}: "
+                "exit 0, triangle slack >= 0, no warning",
                 r.returncode == 0 and doc["triangle_slack"] >= 0
                 and "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr,
                 f"triangle_slack={doc.get('triangle_slack')!r} {r.stderr.strip()[-200:]}",

@@ -46,16 +46,31 @@ from .hypotheses import (
     mM_to_k,
     mforms_agree,
 )
-from .witness import (
-    FamilySpec,
-    TightnessStats,
-    WitnessSpec,
-    gen_cone,
-    gen_disk,
-    generate,
-    make_witness,
-    perturb_scan,
-    tightness,
+
+# the witness generators load on first use, so that check, certify and
+# integrate never import them (PEP 562)
+_WITNESS_NAMES = (
+    "FamilySpec",
+    "TightnessStats",
+    "WitnessSpec",
+    "gen_cone",
+    "gen_disk",
+    "generate",
+    "make_witness",
+    "perturb_scan",
+    "tightness",
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _WITNESS_NAMES:
+        from . import witness
+
+        return getattr(witness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_WITNESS_NAMES))

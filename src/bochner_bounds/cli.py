@@ -12,11 +12,19 @@ node of the worst slack), ``worst_margin`` (that slack: relative to the
 sup norm of f on the panel for a cone constraint, absolute for a ball
 constraint, see :mod:`.hypotheses`) and ``checked_points`` (the number of nodes).
 
-:func:`main` owns its process for one command, so it pauses the cyclic
-garbage collector while the command runs: a parsed JSON document holds no
+:func:`main` runs one command line, so it pauses the cyclic garbage
+collector while the command runs: a parsed JSON document holds no
 reference cycle, and reference counting still frees everything.  It
 restores the caller's collector state on every exit.  :func:`run` and the
 library never touch the collector.
+
+A fresh process pays only for what its command uses.  It builds the
+parser of the named subcommand alone (all five for ``-h``, an unknown or a
+missing command), and imports :mod:`.witness` only in ``witness`` and
+``bench``.  The process entry, :func:`console_main` (also run by ``python
+-m bochner_bounds.cli``), calls ``gc.freeze()`` after :func:`main`, so the
+interpreter's collections at exit skip everything the imports made.
+:func:`main` and :func:`run` never freeze.
 """
 
 from __future__ import annotations
@@ -42,9 +50,8 @@ from .gridfn import (
 from .hilbert import norm
 from .hypotheses import ConditionReport, check, hypothesis_from_dict, hypothesis_to_dict
 from .jsonio import SchemaError, decode_floats, dumps, encode_pairs
-from .witness import FamilySpec, WitnessSpec, make_witness, stats_to_dict, tightness
 
-__all__ = ["RunConfig", "run", "render_table", "main"]
+__all__ = ["RunConfig", "run", "render_table", "main", "console_main"]
 
 SCHEMA = "bochner-bounds/1"
 COMMANDS = ("check", "certify", "witness", "bench", "integrate")
@@ -145,6 +152,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
         return 0, out
     if config.command == "witness":
+        from .witness import WitnessSpec, make_witness
+
         h = _hypothesis_from(doc)
         interval = _interval_from(doc.get("interval"), default=Interval(0.0, 1.0))
         node_count = _node_count(doc, "node_count", 33)
@@ -156,6 +165,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
         return 0, out
     # bench
+    from .witness import FamilySpec, stats_to_dict, tightness
+
     h = _hypothesis_from(doc)
     gen = doc.get("generator", {})
     if not isinstance(gen, dict):
@@ -269,14 +280,26 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _main(argv) -> int:
+def console_main() -> int:
+    """Process entry point: :func:`main` on ``sys.argv``, then freeze what is alive.
+
+    Everything left is in the permanent generation once the command is done,
+    so the interpreter's collections at exit walk none of it; stdio is still
+    flushed and atexit handlers still run.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
+def _parser(commands) -> _Parser:
     parser = _Parser(
         prog="bochner-bounds",
         description="Check pointwise hypotheses and certify reverse triangle inequality "
         "lower bounds for sampled vector-valued functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:  # each subcommand takes only the flags it reads
+    for name in commands:  # each subcommand takes only the flags it reads
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the input JSON document")
         p.add_argument("--output", default="-", help="output path, *.csv for CSV, '-' for stdout")
@@ -293,6 +316,14 @@ def _main(argv) -> int:
             p.add_argument("--trials", type=int, default=100, help="number of trials")
         if name == "certify":
             p.add_argument("--table", action="store_true", help="render a text table")
+    return parser
+
+
+def _main(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own subparser; its help, usage and
+    # errors do not depend on the others
+    parser = _parser((argv[0],) if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = vars(parser.parse_args(argv))
         quad = DEFAULT_RULE
@@ -319,4 +350,4 @@ def _main(argv) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

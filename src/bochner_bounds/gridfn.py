@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import pow2_scaled
+from .hilbert import pow2_scaled, pow2_scaled_whole
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -253,11 +253,16 @@ def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np
 
 
 def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """Integral of ||f(t)|| under ``rule``; nonnegative."""
+    """Integral of ||f(t)|| under ``rule``; nonnegative.
+
+    No square of a value under- or overflows: the rules on the nodes scale
+    all node values by one power of two, the model rule each panel.
+    """
     if _integrates_model(f, rule):
         return float(np.diff(f.nodes) @ panel_norm_integrals(f.values[:-1], f.values[1:]))
     w = _node_weights(f, rule)
-    return float(w @ np.linalg.norm(f.values[: w.size], axis=1))
+    scaled, exp = pow2_scaled_whole(f.values[: w.size])
+    return float(np.ldexp(w @ np.linalg.norm(scaled, axis=1), exp))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:

@@ -16,6 +16,7 @@ __all__ = [
     "inner",
     "norm",
     "pow2_scaled",
+    "pow2_scaled_whole",
     "OrthonormalFamily",
     "GramViolation",
     "check_orthonormal",
@@ -58,14 +59,26 @@ def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
     return [np.ldexp(v, -exp).view(complex) for v in views], exp[..., 0]
 
 
+def pow2_scaled_whole(x) -> tuple[np.ndarray, int]:
+    """All of ``x`` scaled by one power of two 2^-e: :func:`pow2_scaled` of x as one row.
+
+    The scaling is exact for every entry within 2^1021 of the largest, so
+    ratios of such entries stay as they are.  Returns (scaled array of x's
+    shape, e).
+    """
+    x = np.asarray(x)
+    (scaled,), exp = pow2_scaled(x.reshape(1, -1))
+    return scaled.reshape(x.shape), int(exp[0])
+
+
 def norm(u) -> float:
     """Euclidean norm sqrt(inner(u, u).real), with no squares that under- or overflow.
 
-    ``np.linalg.norm`` of u scaled by :func:`pow2_scaled`, scaled back: its
+    ``np.linalg.norm`` of u scaled by :func:`pow2_scaled_whole`, scaled back: its
     bits times a power of two, so ``np.linalg.norm(u)`` bit for bit where
     no square of an entry of u under- or overflows.
     """
-    (scaled,), exp = pow2_scaled(as_vector(u))
+    scaled, exp = pow2_scaled_whole(as_vector(u))
     return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 

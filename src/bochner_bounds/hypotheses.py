@@ -44,7 +44,7 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled
+from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled_whole
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -383,8 +383,7 @@ def _slacks(values: np.ndarray, h: Hypothesis, interpolation: str = "linear") ->
         # cone slacks are homogeneous: scaling the whole array by one exact
         # power of two leaves them as they are, and keeps the squares in the
         # norms from under- or overflowing
-        (scaled,), _ = pow2_scaled(values.reshape(1, -1))
-        x = scaled.view(float).reshape(values.shape[0], -1)  # C^d as R^2d
+        x = pow2_scaled_whole(values)[0].view(float)  # C^d as R^2d
         norms = np.sqrt(np.einsum("ij,ij->i", x, x))
         cone = np.full(len(x), np.inf)
         for c, k in zip(cones.view(float), ks):
@@ -448,13 +447,19 @@ def mforms_agree(f: GridFunction, h: MBounds, tol: float = DEFAULT_CHECK_TOL) ->
 
 
 def _nonzero_projections(f: GridFunction, e) -> tuple[np.ndarray, np.ndarray]:
-    """||f|| and <f, e> at the nodes where f is nonzero; raises if there are none."""
+    """||f|| and <f, e> at the nodes where f is nonzero, both times one power of two.
+
+    Raises if there are no such nodes.
+    """
     e = _require_unit(e, "e")
-    norms = np.linalg.norm(f.values, axis=1)
+    # both estimators are ratios: one exact power-of-two scale of the whole
+    # array leaves them as they are, and keeps the norms' squares in range
+    values, _ = pow2_scaled_whole(f.values)
+    norms = np.linalg.norm(values, axis=1)
     mask = norms > 0.0
     if not np.any(mask):
         raise ValueError("function vanishes at every checked point; no constants to estimate")
-    return norms[mask], _inner_with(f.values[mask], e)
+    return norms[mask], _inner_with(values[mask], e)
 
 
 def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:

@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import gc
+import io
 import json
 import math
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochner_bounds import cli
+import bochner_bounds
+from bochner_bounds import cli, witness
 from bochner_bounds.bounds import certify
 from bochner_bounds.cli import main, render_table
 from bochner_bounds.gridfn import Interval, sample
@@ -157,18 +160,30 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     assert capsys.readouterr().err.startswith("error: output: ")
 
 
+# the default (model) rule, and the two rules on the nodes
+QUAD_FLAGS = ([], ["--quad-refine", "1"],
+              ["--quad-kind", "trapezoid-on-nodes", "--quad-refine", "1"])
+
+
 def test_integrate_is_scale_safe(tmp_path, capsys):
     hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
-    huge = constant_doc(1e308 + 0j, hyp)
     ramp = constant_doc(0j, hyp, n=3)
     ramp["function"]["values"][2] = [[0.0, 1.48978995e-160]]
-    slacks = []
-    for name, doc in (("huge.json", huge), ("ramp.json", ramp)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no overflow or underflow warning either
-            assert main(["integrate", "--input", write_doc(tmp_path, name, doc)]) == 0
-        slacks.append(json.loads(capsys.readouterr().out)["triangle_slack"])
-    assert slacks[0] == 0 and slacks[1] >= 0, slacks
+    docs = {"huge": constant_doc(1e308 + 0j, hyp), "1e200": constant_doc(1e200 + 0j, hyp),
+            "ramp": ramp}
+    for name in list(docs):  # and a constleft copy of each, whose rectangles are on the nodes
+        docs[f"{name}_constleft"] = json.loads(json.dumps(docs[name]))
+        docs[f"{name}_constleft"]["function"]["interp"] = "constleft"
+    for name, doc in docs.items():
+        path = write_doc(tmp_path, f"{name}.json", doc)
+        for flags in QUAD_FLAGS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow or underflow warning either
+                assert main(["integrate", "--input", path, *flags]) == 0, (name, flags)
+            out = json.loads(capsys.readouterr().out)
+            assert out["triangle_slack"] >= 0, (name, flags, out)
+            if name == "huge" and not flags:
+                assert out["triangle_slack"] == 0, out
 
 
 def _small_tail_doc(head, hypothesis):
@@ -223,11 +238,13 @@ def test_main_restores_the_collector_state_on_every_exit(collecting, tmp_path, c
     bad.write_text("{oops", encoding="utf-8")
     cases = [(0, INPUTS / "cone_pi6_pi3.json"), (1, bad), (2, INPUTS / "failing_unit_vector.json")]
     before = gc.isenabled()
+    frozen = gc.get_freeze_count()
     try:
         for status, path in cases:
             _set_collecting(collecting)
             assert main(["certify", "--input", str(path)]) == status
             assert gc.isenabled() is collecting, status
+            assert gc.get_freeze_count() == frozen, status  # only the process entry freezes
         seen = []
 
         def failing_run(config):
@@ -239,6 +256,7 @@ def test_main_restores_the_collector_state_on_every_exit(collecting, tmp_path, c
         with pytest.raises(TypeError, match="escapes main"):
             main(["certify", "--input", str(INPUTS / "cone_pi6_pi3.json")])
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen
         assert seen == [False]  # the command itself ran with collection paused
     finally:
         _set_collecting(before)
@@ -409,3 +427,91 @@ def test_console_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "integral_report"
+
+
+# a bad value of a typed flag of each subcommand; witness has no typed flag
+TYPED_FLAG = {"check": "--tol", "certify": "--quad-refine", "integrate": "--quad-refine",
+              "bench": "--trials", "witness": None}
+
+
+def _parse(parser, argv) -> str:
+    """What parsing ``argv`` reports: help text on stdout, or the error message."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            parser.parse_args(argv)
+    except SystemExit as exc:
+        return f"exit {exc.code}: {out.getvalue()}"
+    except ValueError as exc:
+        return f"error: {exc}"
+    return "parsed"
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_one_subcommand_parser_reads_like_the_full_parser(name):
+    cases = [[name, "-h"], [name], [name, "--input", "x", "--bogus", "1"]]
+    if TYPED_FLAG[name]:
+        cases.append([name, "--input", "x", TYPED_FLAG[name], "x"])
+    for argv in cases:
+        texts = [_parse(cli._parser(commands), argv) for commands in ((name,), cli.COMMANDS)]
+        assert texts[0] == texts[1], argv
+        assert texts[0].startswith((f"exit 0: usage: bochner-bounds {name} ", "error: ")), texts
+
+
+def test_main_builds_the_named_subparser_only(monkeypatch, capsys):
+    built, full = [], cli._parser
+
+    def parser(commands):
+        built.append(tuple(commands))
+        return full(commands)
+
+    monkeypatch.setattr(cli, "_parser", parser)
+    for argv in (["integrate", "--input", str(INPUTS / "disk_lens.json")], ["nope"], ["-h"], []):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert built == [("integrate",)] + [cli.COMMANDS] * 3
+
+
+def test_fresh_cli_runs_load_witness_only_for_witness_and_bench():
+    for command, path, *flags in (
+        ("check", "cone_pi6_pi3.json"), ("certify", "cone_pi6_pi3.json"),
+        ("integrate", "disk_lens.json"), ("witness", "witness_unit_vector.json"),
+        ("bench", "bench_cone.json", "--trials", "10"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bochner_bounds.cli", command,
+             "--input", str(INPUTS / path), *flags],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        loaded = "bochner_bounds.witness" in proc.stderr
+        assert loaded is (command in ("witness", "bench")), command
+
+
+def test_console_entry_runs_the_command_then_freezes():
+    code = ("import gc, sys; from bochner_bounds import cli; "
+            "status = cli.console_main(); print(status, gc.get_freeze_count() > 0, file=sys.stderr)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "integrate", "--input", str(INPUTS / "disk_lens.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["kind"] == "integral_report"
+    assert proc.stderr == "0 True\n"
+
+
+@pytest.mark.parametrize("name", [
+    "FamilySpec", "TightnessStats", "WitnessSpec", "gen_cone", "gen_disk", "generate",
+    "make_witness", "perturb_scan", "tightness",
+])
+def test_package_resolves_the_witness_names_on_first_use(name):
+    assert getattr(bochner_bounds, name) is getattr(witness, name)
+    namespace = {}
+    exec(f"from bochner_bounds import {name}", namespace)
+    assert namespace[name] is getattr(witness, name)
+    assert name in dir(bochner_bounds)
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        bochner_bounds.not_a_name

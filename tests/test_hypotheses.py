@@ -217,6 +217,32 @@ def test_estimate_K_infeasible_for_orthogonal_direction():
     assert estimate_K(constant(1j * E1), E1) is None
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_estimators_are_unchanged_by_powers_of_two(seed):
+    rng = np.random.default_rng(seed)
+    n, d = 9, int(rng.integers(1, 4))
+    e = rng.normal(size=d) + 1j * rng.normal(size=d)
+    e /= np.linalg.norm(e)
+    # inside the quarter plane Re, Im >= 0 about e, plus a small spread
+    phase = np.exp(1j * rng.uniform(0.2, 1.3, n))
+    values = rng.uniform(0.5, 2.0, (n, 1)) * phase[:, None] * e + 0.05 * rng.normal(size=(n, d))
+    values[rng.uniform(size=n) < 0.2] = 0.0
+    nodes = np.linspace(0.0, 1.0, n)
+    f, tiny = (GridFunction(Interval(0, 1), nodes, v)
+               for v in (values, np.ldexp(values.view(float), -600).view(complex)))
+    assert estimate_unit_vector(f, e) == estimate_unit_vector(tiny, e)
+    assert estimate_K(f, e) == estimate_K(tiny, e)
+
+
+def test_estimators_of_a_constant_whose_squares_underflow():
+    # the squares of 1e-170 underflow to 0; those of 1e-150 do not
+    normal = constant(1e-150 * (0.6 + 0.8j) * E1)
+    for scale in (1e-170, 1e-300):
+        f = constant(scale * (0.6 + 0.8j) * E1)
+        assert estimate_unit_vector(f, E1) == estimate_unit_vector(normal, E1)
+        assert estimate_K(f, E1) == estimate_K(normal, E1)
+
+
 def test_disk_to_k_values():
     assert disk_to_k(0.6) == pytest.approx(0.8)
     assert disk_to_k(1e-9) == pytest.approx(1.0)
