@@ -32,9 +32,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import bound_report_to_dict, certify, equality_holds
 from .gridfn import (
@@ -48,8 +47,8 @@ from .gridfn import (
     integrate_vector,
 )
 from .hilbert import norm
-from .hypotheses import ConditionReport, check, hypothesis_from_dict, hypothesis_to_dict
-from .jsonio import SchemaError, decode_floats, dumps, encode_pairs
+from .hypotheses import check, hypothesis_from_dict, hypothesis_to_dict
+from .jsonio import SchemaError, decode_floats, dumps, dumps_csv, encode_pairs
 
 __all__ = ["RunConfig", "run", "render_table", "main", "console_main"]
 
@@ -113,17 +112,6 @@ def _hypothesis_from(doc: dict):
         raise SchemaError(f"hypothesis: {exc}") from exc
 
 
-def _condition_report_doc(report: ConditionReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "condition_report",
-        "holds": report.holds,
-        "worst_t": report.worst_t,
-        "worst_margin": report.worst_margin,
-        "checked_points": report.checked_points,
-    }
-
-
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one command; returns (exit_status, report_document)."""
     doc = _load_document(config.input_path)
@@ -131,7 +119,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         f = _function_from(doc)
         h = _hypothesis_from(doc)
         report = check(f, h, config.tol)
-        return (0 if report.holds else 2), _condition_report_doc(report)
+        return (0 if report.holds else 2), {"schema": SCHEMA, "kind": "condition_report",
+                                            **asdict(report)}
     if config.command == "certify":
         f = _function_from(doc)
         h = _hypothesis_from(doc)
@@ -231,26 +220,6 @@ def render_table(reports, tol: float = 1e-9) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_csv(doc: dict) -> str:
-    scalars = [
-        (k, v) for k, v in doc.items() if isinstance(v, (int, float, str, bool)) or v is None
-    ]
-    header = ",".join(k for k, _ in scalars)
-    cells = []
-    for k, v in scalars:
-        if isinstance(v, bool):
-            cells.append("true" if v else "false")
-        elif isinstance(v, float):
-            if not math.isfinite(v):
-                raise ValueError(f"{k}: cannot serialize non-finite number {v!r}")
-            cells.append(format(v, ".17g"))
-        elif v is None:
-            cells.append("")
-        else:
-            cells.append(str(v))
-    return header + "\n" + ",".join(cells) + "\n"
-
-
 def _write_output(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -341,7 +310,7 @@ def _main(argv) -> int:
             text = render_table([report], config.tol)
         else:
             status, doc = run(config)
-            text = _to_csv(doc) if config.output_path.endswith(".csv") else dumps(doc)
+            text = dumps_csv(doc) if config.output_path.endswith(".csv") else dumps(doc)
         _write_output(text, config.output_path)
     except (SchemaError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

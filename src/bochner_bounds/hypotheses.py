@@ -44,7 +44,7 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled_whole
+from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled, pow2_scaled_whole
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "Hypothesis",
     "family_form",
     "constraints",
+    "window",
     "ConditionReport",
     "check",
     "mforms_agree",
@@ -321,8 +322,9 @@ def constraints(h: Hypothesis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.
     """
     dim = hypothesis_dim(h)
     none = np.empty((0, dim), dtype=complex), np.empty(0)
-    if isinstance(h, (Cone, Karamata)):
-        lo, hi = (h.phi1, h.phi2) if isinstance(h, Cone) else (-h.theta, h.theta)
+    win = window(h)
+    if win is not None:
+        lo, hi = win
         normals = np.array([1j, -1j, 1.0]) * np.exp(1j * np.array([lo, hi, 0.5 * (lo + hi)]))
         return (normals[:, None], np.zeros(3)), none
     if isinstance(h, KCond):
@@ -334,6 +336,15 @@ def constraints(h: Hypothesis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.
         return none, (np.concatenate(centres), np.concatenate([0.5 * (Ms - ms), 0.5 * (Ns - ns)]))
     rows = np.concatenate([vectors, 1j * vectors]), np.concatenate(consts)
     return (rows, none) if isinstance(h, (UnitVector, Orthonormal)) else (none, rows)
+
+
+def window(h: Hypothesis) -> tuple[float, float] | None:
+    """``(lo, hi)`` if ``h`` is the argument window lo <= arg f <= hi, else None."""
+    if isinstance(h, Cone):
+        return h.phi1, h.phi2
+    if isinstance(h, Karamata):
+        return -h.theta, h.theta
+    return None
 
 
 def hypothesis_dim(h: Hypothesis) -> int:
@@ -351,16 +362,22 @@ class ConditionReport:
     checked_points: int
 
 
-def _inner_with(values: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """<f(t), e> for each row of values (conjugate-linear in e)."""
-    return values @ e.conj()
-
-
 def _ball_slacks(values: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
-    """r_j - ||f(t) - c_j||, one array per ball."""
+    """r_j - ||f(t) - c_j||, one array per ball; finite wherever ||f(t) - c_j|| < 2^1024.
+
+    Rows whose raw norm overflows are measured again scaled by their own power of two.
+    """
     diff = np.empty_like(values)  # reused: a fresh difference per ball doubles the time
-    return [r - np.linalg.norm(np.subtract(values, c, out=diff), axis=1)
-            for c, r in zip(centres, radii)]
+    slacks = []
+    for c, r in zip(centres, radii):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = np.linalg.norm(np.subtract(values, c, out=diff), axis=1)
+            big = ~np.isfinite(dist)
+            if big.any():
+                (v, cs), exp = pow2_scaled(values[big], c)
+                dist[big] = np.ldexp(np.linalg.norm(v - cs, axis=1), exp)
+        slacks.append(r - dist)
+    return slacks
 
 
 def _panel_sups(norms: np.ndarray, interpolation: str) -> tuple[np.ndarray, ...]:
@@ -446,32 +463,30 @@ def mforms_agree(f: GridFunction, h: MBounds, tol: float = DEFAULT_CHECK_TOL) ->
     return True
 
 
-def _nonzero_projections(f: GridFunction, e) -> tuple[np.ndarray, np.ndarray]:
-    """||f|| and <f, e> at the nodes where f is nonzero, both times one power of two.
+def _least_cosines(f: GridFunction, rows: np.ndarray) -> np.ndarray:
+    """Per row c, the least ``Re<f, c>/||f||`` over the nodes where f is nonzero.
 
     Raises if there are no such nodes.
     """
-    e = _require_unit(e, "e")
-    # both estimators are ratios: one exact power-of-two scale of the whole
-    # array leaves them as they are, and keeps the norms' squares in range
+    # ratios: one exact power-of-two scale of the whole array leaves them as
+    # they are, and keeps the norms' squares in range
     values, _ = pow2_scaled_whole(f.values)
     norms = np.linalg.norm(values, axis=1)
     mask = norms > 0.0
     if not np.any(mask):
         raise ValueError("function vanishes at every checked point; no constants to estimate")
-    return norms[mask], _inner_with(values[mask], e)
+    return np.min((values[mask] @ rows.conj().T).real / norms[mask, None], axis=0)
 
 
 def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:
     """Best (largest) constants (k1, k2) for the UnitVector condition on ``f``.
 
-    Pointwise infima of Re<f, e>/||f|| and Im<f, e>/||f|| over the nodes
-    with ||f|| > 0.  Returns None when either infimum is negative (no
-    admissible constants exist).  Raises if f vanishes everywhere.
+    The least Re<f, c>/||f|| over the nodes with ||f|| > 0, for c = e and
+    c = i e (Re<f, i e> = Im<f, e>).  Returns None when either is negative
+    (no admissible constants exist).  Raises if f vanishes everywhere.
     """
-    norms, ip = _nonzero_projections(f, e)
-    k1 = float(np.min(ip.real / norms))
-    k2 = float(np.min(ip.imag / norms))
+    e = _require_unit(e, "e")
+    k1, k2 = _least_cosines(f, np.array([e, 1j * e])).tolist()
     if k1 < 0.0 or k2 < 0.0:
         return None
     return k1, k2
@@ -480,13 +495,13 @@ def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:
 def estimate_K(f: GridFunction, e) -> float | None:
     """Smallest admissible K for the K-condition, clamped to >= 1.
 
-    Returns None when some node has Re<f, e> <= 0 with ||f|| > 0, in which
-    case no finite K works.
+    1/k for the least k = Re<f, e>/||f|| over the nodes with ||f|| > 0.
+    Returns None when k <= 0, in which case no finite K works.
     """
-    norms, ip = _nonzero_projections(f, e)
-    if np.any(ip.real <= 0.0):
+    (k,) = _least_cosines(f, _require_unit(e, "e")[None, :]).tolist()
+    if k <= 0.0:
         return None
-    return max(1.0, float(np.max(norms / ip.real)))
+    return max(1.0, 1.0 / k)
 
 
 def disk_to_k(eta: float) -> float:

@@ -15,7 +15,10 @@ digits (``json.dumps`` would leave it to ``repr``), so that identical inputs
 produce byte-identical output files.  A rectangular nested list of finite
 ``float`` leaves is rendered with one ``%`` on a template built from its
 shape; everything else is rendered item by item, with the same bytes.  Dict
-keys keep insertion order (the schemas fix it).
+keys keep insertion order (the schemas fix it).  Negative zero is written
+``-0.0``, which ``json.load`` reads back as a signed float (``-0`` would be
+the integer 0).  :func:`dumps_csv` writes the scalar fields of a report as
+a CSV header and row, with the same numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = ["dumps", "decode_floats", "decode_pairs", "encode_pairs", "SchemaError"]
+__all__ = ["dumps", "dumps_csv", "decode_floats", "decode_pairs", "encode_pairs", "SchemaError"]
 
 _NUMBER_TYPES = frozenset((int, float))
 _PAIR_RULE = "expected [re, im] pairs of two numbers"
@@ -101,7 +104,10 @@ def _float_tensor(obj: list) -> str | None:
         template = "[" + ", ".join([template] * width) + "]"
     text = template % tuple(level)
     # "%.17g" writes only digits, signs, "." and "e", except "inf" and "nan"
-    return None if "n" in text else text
+    if "n" in text:
+        return None
+    # it writes a negative zero as "-0" (then "," or "]"); scan only if f has a zero
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]") if 0.0 in level else text
 
 
 def _render(obj, parts: list) -> None:
@@ -136,7 +142,8 @@ def _render(obj, parts: list) -> None:
         x = float(obj)
         if not math.isfinite(x):
             raise ValueError(f"cannot serialize non-finite number {x!r}")
-        parts.append(format(x, ".17g"))
+        text = format(x, ".17g")
+        parts.append("-0.0" if text == "-0" else text)  # "-0" would read back as the integer 0
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif obj is None:
@@ -150,3 +157,18 @@ def dumps(obj) -> str:
     parts: list = []
     _render(obj, parts)
     return "".join(parts) + "\n"
+
+
+def dumps_csv(doc: dict) -> str:
+    """A header line and one row over the scalar fields of ``doc``, numbers as in :func:`dumps`."""
+    row = {k: v for k, v in doc.items() if isinstance(v, (int, float, str)) or v is None}
+    cells: list = []
+    for key, val in row.items():
+        if isinstance(val, str) or val is None:
+            cells.append(val or "")
+            continue
+        try:
+            _render(val, cells)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return ",".join(row) + "\n" + ",".join(cells) + "\n"

@@ -1,9 +1,13 @@
 """Equality witnesses, perturbation scans, and seeded tightness benchmarks.
 
-Witness construction is restricted to hypotheses on the coefficient = 1
-surface: combining the integrated pointwise conditions with the equality
-characterization forces the coefficient of a constant witness to be exactly
-1, so off-surface equality requests are rejected rather than approximated.
+Witnesses follow the paper's equality case: integral f = (sum (k_j + i h_j)
+e_j) * integral ||f||.  A constant function attains it exactly when the
+coefficient sqrt(sum k_j^2 + h_j^2) is 1 and the equality direction
+sum (k_j + i h_j) e_j itself satisfies the hypothesis, so a witness is
+built for any class that passes both tests, and refused otherwise rather
+than approximated.
+
+Samplers read the constraints: an argument window, cones alone, or balls.
 
 All randomness flows through numpy's documented, portable PCG64 bit
 generator; a family's trial i uses seed ``base_seed + i``, so serial and
@@ -13,25 +17,15 @@ parallel runs agree exactly and identical seeds give bit-identical grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
 from .hilbert import norm
-from .hypotheses import (
-    Cone,
-    Disk,
-    Hypothesis,
-    Karamata,
-    KCond,
-    Orthonormal,
-    UnitVector,
-    constraints,
-    family_form,
-    tag_of,
-)
+from .hypotheses import Cone, Disk, Hypothesis, check, constraints, family_form, tag_of, window
+from .jsonio import dumps_csv
 
 __all__ = [
     "WitnessSpec",
@@ -47,7 +41,7 @@ __all__ = [
     "stats_to_csv",
 ]
 
-COEFF_SURFACE_TOL = 1e-12
+COEFF_SURFACE_ULPS = 4  # distance of a witness's coefficient from 1, in units of ulp(1)
 REJECTION_CAP = 10 ** 6
 
 
@@ -81,53 +75,58 @@ class WitnessSpec:
 def make_witness(spec: WitnessSpec) -> GridFunction:
     """Constant function attaining the bound of the given hypothesis exactly.
 
-    Its value is the equality direction.  Supported: UnitVector (k1^2 + k2^2
-    = 1), Orthonormal (sum k^2 + h^2 = 1), Cone (phi1 = phi2).  Anything else,
-    or a hypothesis off the coefficient-1 surface, raises ValueError
-    reporting the measured coefficient.
+    Its value is the equality direction sum (k_j + i h_j) e_j of the normal
+    form.  The hypothesis must lie on the coefficient-1 surface (within
+    ``COEFF_SURFACE_ULPS`` ulps of 1), and the direction, as a constant,
+    must pass :func:`~.hypotheses.check`; otherwise ValueError reports the
+    measured coefficient or names the class.
     """
     h = spec.hypothesis
     c = coefficient(h)
-    if abs(c - 1.0) > COEFF_SURFACE_TOL:
+    if abs(c - 1.0) > COEFF_SURFACE_ULPS * math.ulp(1.0):
         raise ValueError(
             f"witness requires a coefficient-1 hypothesis, got coefficient {c!r}"
         )
-    if not isinstance(h, (UnitVector, Orthonormal, Cone)):
-        raise ValueError(f"no witness construction for hypothesis {tag_of(h)!r}")
-    if isinstance(h, Cone) and abs(h.phi1 - h.phi2) > COEFF_SURFACE_TOL:
-        raise ValueError(f"cone witness requires phi1 = phi2, got ({h.phi1!r}, {h.phi2!r})")
-    return _constant(spec.interval, spec.node_count, equality_direction(h))
+    direction = equality_direction(h)
+    report = check(_constant(spec.interval, 2, direction), h)
+    if not report.holds:
+        raise ValueError(
+            f"no constant witness for hypothesis {tag_of(h)!r}: its equality direction "
+            f"lies outside the class (worst margin {report.worst_margin!r})"
+        )
+    return _constant(spec.interval, spec.node_count, direction)
 
 
 def _widened(h: Hypothesis, eps: float) -> Hypothesis:
-    """Hypothesis enlarged to admit a phase spread of eps around a witness."""
-    c, s = math.cos(eps / 2.0), math.sin(eps / 2.0)
-    if isinstance(h, Cone):
-        lo, hi = h.phi1 - eps / 2.0, h.phi2 + eps / 2.0
+    """Hypothesis enlarged to admit a phase spread of eps around a witness.
+
+    An argument window widens by eps/2 on each side.  A class of cones on
+    each e_j and i e_j rotates its pairs (k_j, h_j); ball classes, and
+    classes that leave Im<f, e_j> free, are refused.
+    """
+    win = window(h)
+    if win is not None:
+        lo, hi = win[0] - eps / 2.0, win[1] + eps / 2.0
         if lo < 0.0 or hi >= math.pi / 2:
             raise ValueError(
                 f"phase spread {eps!r} leaves the admissible argument window "
                 f"[0, pi/2): widened cone would be [{lo!r}, {hi!r}]"
             )
         return Cone(phi1=lo, phi2=hi)
-    if isinstance(h, UnitVector):
-        k1, k2 = c * h.k1 - s * h.k2, c * h.k2 - s * h.k1
-        if k1 < 0.0 or k2 < 0.0:
-            raise ValueError(
-                f"phase spread {eps!r} leaves the class: a rotated sample gets a "
-                "negative Re or Im projection, so no admissible constants remain"
-            )
-        return UnitVector(e=h.e, k1=k1, k2=k2)
-    if isinstance(h, Orthonormal):
-        ks = tuple(c * k - s * hh for k, hh in zip(h.ks, h.hs))
-        hs = tuple(c * hh - s * k for k, hh in zip(h.ks, h.hs))
-        if min(ks) < 0.0 or min(hs) < 0.0:
-            raise ValueError(
-                f"phase spread {eps!r} leaves the class: a rotated sample gets a "
-                "negative Re or Im projection against some family vector"
-            )
-        return Orthonormal(fam=h.fam, ks=ks, hs=hs)
-    raise ValueError(f"no phase-spread perturbation for hypothesis {tag_of(h)!r}")
+    (cones, _), (_, radii) = constraints(h)
+    vectors, ks, hs = family_form(h)
+    if radii.size or len(cones) != 2 * len(vectors):  # balls, or Im<f, e_j> left free
+        raise ValueError(f"no phase-spread perturbation for hypothesis {tag_of(h)!r}")
+    c, s = math.cos(eps / 2.0), math.sin(eps / 2.0)
+    ks, hs = c * ks - s * hs, c * hs - s * ks
+    if min(ks) < 0.0 or min(hs) < 0.0:
+        raise ValueError(
+            f"phase spread {eps!r} leaves the class: a rotated sample gets a negative "
+            "Re or Im projection against some family vector, so no admissible constants remain"
+        )
+    head, *consts = fields(h)  # (e, k1, k2) as (fam, ks, hs): one value per row, or a tuple
+    rotated = [tuple(v.tolist()) if f.type == "tuple" else v.item() for f, v in zip(consts, (ks, hs))]
+    return type(h)(getattr(h, head.name), *rotated)
 
 
 def perturb_scan(
@@ -187,9 +186,7 @@ def gen_cone(
     interval: Interval = Interval(0.0, 1.0),
 ) -> GridFunction:
     """Scalar samples r*exp(i phi), r ~ U[rmin, rmax], phi ~ U[phi1, phi2]."""
-    if not (0.0 <= phi1 <= phi2 < math.pi / 2):
-        raise ValueError(f"need 0 <= phi1 <= phi2 < pi/2, got ({phi1!r}, {phi2!r})")
-    return _gen_window(seed, phi1, phi2, rmin, rmax, nodes, interval)
+    return _gen_window(seed, *window(Cone(phi1, phi2)), rmin, rmax, nodes, interval)
 
 
 def _gen_window(
@@ -384,13 +381,12 @@ def generate(spec: FamilySpec, trial: int = 0) -> GridFunction:
     """Grid function for one trial; trial i uses seed ``spec.seed + i``."""
     h = spec.hypothesis
     seed = spec.seed + trial
-    if isinstance(h, Cone):
-        return gen_cone(seed, h.phi1, h.phi2, spec.rmin, spec.rmax, spec.nodes, spec.interval)
-    if isinstance(h, Karamata):
-        return _gen_window(seed, -h.theta, h.theta, spec.rmin, spec.rmax, spec.nodes, spec.interval)
-    if isinstance(h, (UnitVector, KCond, Orthonormal)):
-        return _gen_soc(seed, *family_form(h), spec.rmin, spec.rmax, spec.nodes, spec.interval)
+    win = window(h)
+    if win is not None:
+        return _gen_window(seed, *win, spec.rmin, spec.rmax, spec.nodes, spec.interval)
     centres, radii = constraints(h)[1]
+    if not radii.size:
+        return _gen_soc(seed, *family_form(h), spec.rmin, spec.rmax, spec.nodes, spec.interval)
     if radii.size == 2:
         try:
             return _gen_two_balls(seed, centres, radii, spec.nodes, spec.interval)
@@ -445,19 +441,8 @@ def tightness(
 
 
 def stats_to_dict(stats: TightnessStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "mean_ratio": stats.mean_ratio,
-        "min_ratio": stats.min_ratio,
-        "max_ratio": stats.max_ratio,
-        "violations": stats.violations,
-    }
+    return asdict(stats)
 
 
 def stats_to_csv(stats: TightnessStats) -> str:
-    header = "trials,mean_ratio,min_ratio,max_ratio,violations"
-    row = (
-        f"{stats.trials},{stats.mean_ratio:.17g},{stats.min_ratio:.17g},"
-        f"{stats.max_ratio:.17g},{stats.violations}"
-    )
-    return header + "\n" + row + "\n"
+    return dumps_csv(stats_to_dict(stats))

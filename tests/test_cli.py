@@ -102,9 +102,6 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     m_bounds = {"type": "m_bounds", "e": [[1, 0]], "m1": 0.5, "M1": math.inf, "m2": 0.5, "M2": 2.0}
     cases = [
         (nan_values, ("check", "certify", "integrate"), "values"),
-        # finite samples whose distances to a ball centre overflow to inf
-        (constant_doc(1e308 + 0j, {"type": "disk", "e": [[1, 0]], "eta1": 0.9, "eta2": 0.9}),
-         ("check", "certify"), "non-finite"),
         (constant_doc(1.0 + 0j, m_bounds), ("check", "certify"), "M1"),
         (constant_doc(1.0 + 0j, {"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5,
                                  "hs": [0.1]}), ("check", "certify"), "hypothesis.ks"),
@@ -158,6 +155,21 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     unwritable = str(tmp_path / "missing_dir" / "out.json")
     assert main(["integrate", "--input", str(INPUTS / "disk_lens.json"), "--output", unwritable]) == 1
     assert capsys.readouterr().err.startswith("error: output: ")
+
+
+def test_finite_documents_far_outside_their_disks_exit_2(tmp_path, capsys):
+    # the raw distances to the ball centres overflow to inf; those rows are
+    # measured again scaled, so the slack is finite and no warning is raised
+    disk = {"type": "disk", "e": [[1, 0]], "eta1": 0.9, "eta2": 0.9}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1e200, 1e308):
+            path = write_doc(tmp_path, "far.json", constant_doc(value + 0j, disk))
+            assert main(["check", "--input", path]) == 2
+            report = json.loads(capsys.readouterr().out)
+            assert report["worst_margin"] == pytest.approx(-value, rel=1e-15)
+            assert main(["certify", "--input", path]) == 2
+            assert json.loads(capsys.readouterr().out)["hypothesis_verified"] is False
 
 
 # the default (model) rule, and the two rules on the nodes

@@ -30,7 +30,7 @@ from bochner_bounds.hypotheses import (
     mM_to_k,
     mforms_agree,
 )
-from bochner_bounds.hypotheses import _slacks
+from bochner_bounds.hypotheses import _ball_slacks, _slacks
 
 E1 = np.array([1.0 + 0j])
 E2 = np.eye(2, dtype=complex)
@@ -569,3 +569,13 @@ def test_hypothesis_from_dict_errors_name_fields():
         hypothesis_from_dict({"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5, "hs": [0.1]})
     with pytest.raises(ValueError, match=r"hypothesis\.K"):
         hypothesis_from_dict({"type": "k_cond", "e": [[1, 0]], "K": [2]})
+
+
+def test_ball_slacks_rescale_only_the_rows_that_overflow():
+    values = np.array([[0.3 + 0.4j], [1e308 + 1e308j], [-2.0 + 0j]])
+    centres, radii = constraints(Disk(E1, 0.9, 0.9))[1]
+    with np.errstate(all="raise"):
+        slacks = _ball_slacks(values, centres, radii)
+    for c, r, slack in zip(centres, radii, slacks):
+        assert np.array_equal(slack[[0, 2]], r - np.linalg.norm(values[[0, 2]] - c, axis=1))
+        assert slack[1] == pytest.approx(r - abs(values[1, 0] - c[0]), rel=1e-15)

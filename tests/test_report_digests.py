@@ -1,0 +1,82 @@
+"""Byte gate: sha256 digests of the bundled reports and of the shipped bench families.
+
+Each case is an exit status and the bytes a report renders to, so a
+refactor that must keep report bytes can be checked against these digests.
+They pin the bytes this numpy/BLAS build writes: the integrals are BLAS
+sums, whose order may differ on another CPU or BLAS.  They hold until
+ROADMAP item 2 lands fixed-order sums, which is expected to move the last
+bits of some reports.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from bochner_bounds.cli import RunConfig, main, run
+from bochner_bounds.jsonio import dumps
+from bochner_bounds.witness import stats_to_csv, tightness
+
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "inputs"
+FAMILY_TRIALS = 5
+
+
+def _commands(doc: dict) -> tuple:
+    if "function" in doc:
+        return "check", "certify", "integrate"
+    return ("bench",) if "generator" in doc else ("witness",)
+
+
+CASES = [(command, path.name) for path in sorted(INPUTS.glob("*.json"))
+         for command in _commands(json.loads(path.read_text(encoding="utf-8")))]
+
+DIGESTS = {
+    "bench bench_cone.json": "b2bd1e10bda9e80f4a16f0d4b1295a95e1995b30f3a1bb91166500f88ceed15d",
+    "check cone_pi6_pi3.json": "90b73280e2868dd8bdbfee2a461352174d8ad517396423f4052a07307ddb1ced",
+    "certify cone_pi6_pi3.json": "770a315e49a2ec490b90a5ce62dd40cab69c29cb86da631c585792ce43196af9",
+    "integrate cone_pi6_pi3.json": "489ec6bdef329a147eb862b851b301b52ecc43ab5f3f64a20cc6b987942a4de8",
+    "check disk_lens.json": "254af8cf670cbab30f6f9ec15f25d1373bead7d37495ffe6ab887731f629e58b",
+    "certify disk_lens.json": "d5f50dbc5eee7a2e1c8a3d032a27b5925d2059b3be0b458a91746dc86429383c",
+    "integrate disk_lens.json": "e5aadf5eef9c871a0284c2169bffac58184b01b487f60e422e1cfec2b6141ee8",
+    "check failing_unit_vector.json": "d632e74209e9f2d2d9be78c81c17a4451b9d7c585217e87b22532f3e10002893",
+    "certify failing_unit_vector.json": "d86daa4d14efaa214bb0a14724576ef549595942e587d6975b066b877e50a78d",
+    "integrate failing_unit_vector.json": "8ae6aded68885d216f8d88c4a5f7d3d61f4f70c71c40a2b9040e64ef0a64734e",
+    "witness witness_unit_vector.json": "2cf2721a8cf1eb78431fb2e41b53b93f6a57134e3711c69137ebd96fbeb53d7f",
+    "bench csv bench_cone.json": "e8912b4399f8e3e470f5dec06ddbba15619590e3f3f6ebd3278b7193fc9566aa",
+    "families": "4d8f948de50d61a9afec482d50a151f7e7b1a73fb89532fc29a4546c85865d33",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command, name", CASES, ids=[f"{c} {n}" for c, n in CASES])
+def test_bundled_report_bytes(command, name):
+    status, doc = run(RunConfig(command=command, input_path=str(INPUTS / name)))
+    assert _sha256(f"{status}\n{dumps(doc)}") == DIGESTS[f"{command} {name}"]
+
+
+def test_bench_csv_bytes(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(INPUTS / "bench_cone.json"), "--output", str(out)]) == 0
+    assert _sha256(out.read_text(encoding="utf-8")) == DIGESTS["bench csv bench_cone.json"]
+
+
+def _shipped_families():
+    spec = importlib.util.spec_from_file_location("tightness_report",
+                                                  ROOT / "scripts" / "tightness_report.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.shipped_families(0)
+
+
+def test_shipped_family_bench_bytes():
+    families = _shipped_families()
+    assert len(families) == 10
+    text = "".join(stats_to_csv(tightness(FAMILY_TRIALS, spec, spec.hypothesis))
+                   for spec in families)
+    assert _sha256(text) == DIGESTS["families"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bochner_bounds.bounds import certify, equality_holds
+from bochner_bounds.bounds import certify, coefficient, equality_holds
 
 from bochner_bounds.hilbert import OrthonormalFamily
 from bochner_bounds.hypotheses import (
@@ -74,12 +74,31 @@ def test_every_witness_passes_its_check():
 def test_off_surface_witness_requests_are_rejected():
     with pytest.raises(ValueError, match="coefficient"):
         make_witness(WitnessSpec(UnitVector(E1, 0.6, 0.7)))
-    with pytest.raises(ValueError, match="witness"):
-        make_witness(WitnessSpec(KCond(E1, 1.0)))
-    # coefficient sqrt(1 - sin(1e-6)^2) sits within 1e-12 of 1, but the
-    # window is genuinely non-degenerate and has no constant witness
-    with pytest.raises(ValueError, match="phi1 = phi2"):
+    # coefficient cos(1e-6) is 2252 ulps below 1: the window is genuinely
+    # non-degenerate and has no constant witness
+    assert coefficient(Cone(0.0, 1e-6)) != 1.0
+    with pytest.raises(ValueError, match="coefficient"):
         make_witness(WitnessSpec(Cone(0.0, 1e-6)))
+
+
+def test_k_condition_with_K_one_has_the_constant_witness_e():
+    h = KCond(E1, 1.0)
+    w = make_witness(WitnessSpec(h))
+    assert np.array_equal(w.values, np.tile(E1, (33, 1)))
+    assert equality_holds(certify(w, h), tol=1e-10)
+    # Im<f, e> is free in the K-condition, so a phase spread has no rotated class
+    with pytest.raises(ValueError, match="no phase-spread perturbation for hypothesis 'k_cond'"):
+        perturb_scan(w, h, [0.1])
+
+
+def test_surface_class_whose_direction_leaves_it_is_refused():
+    r = 1.0 / math.sqrt(2.0)
+    h = Disk(E1, r, r)
+    assert abs(coefficient(h) - 1.0) <= 4 * math.ulp(1.0)
+    # the direction (1 + i)/sqrt(2) lies outside both disks; the disks touch
+    # at (1 + i)/2 only
+    with pytest.raises(ValueError, match="no constant witness for hypothesis 'disk'"):
+        make_witness(WitnessSpec(h))
 
 
 def test_phase_scan_gaps_increase_from_zero():
