@@ -53,8 +53,6 @@ _WITNESS_NAMES = (
     "FamilySpec",
     "TightnessStats",
     "WitnessSpec",
-    "gen_cone",
-    "gen_disk",
     "generate",
     "make_witness",
     "perturb_scan",

@@ -101,7 +101,8 @@ def certify(
     norm_integral = integrate_norm(f, rule)
     true_norm = norm(vec)
     lower = coeff * norm_integral
-    eq_vec = equality_direction(h) * norm_integral
+    with np.errstate(invalid="ignore"):  # 0 * inf, for an integral past the float range
+        eq_vec = equality_direction(h) * norm_integral
     residual = norm(vec - eq_vec)
     return BoundReport(
         hypothesis_tag=tag_of(h),

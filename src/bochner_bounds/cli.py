@@ -32,8 +32,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 from .bounds import bound_report_to_dict, certify, equality_holds
 from .gridfn import (
@@ -198,23 +200,31 @@ def _interval_from(d, default: Interval) -> Interval:
     return Interval(_number(d["a"], "interval.a"), _number(d["b"], "interval.b"))
 
 
+_TABLE_NUMBERS = ("coefficient", "lower_bound", "true_norm", "gap")
+
+
+def _table_number(report: dict, key: str) -> str:
+    x = report[key]
+    if not math.isfinite(x):
+        raise ValueError(f"{key}: cannot serialize non-finite number {x!r}")
+    return format(x, ".9g")
+
+
 def render_table(reports, tol: float = 1e-9) -> str:
-    """Aligned text table over bound reports, sorted by tag then coefficient desc."""
+    """Aligned text table over bound report documents, sorted by tag then coefficient desc.
+
+    A report document is what :func:`run` returns for ``certify``.  A
+    non-finite number is refused with an error naming its field, as in
+    :func:`~.jsonio.dumps`.
+    """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to render")
-    rows = [("hypothesis", "coefficient", "lower_bound", "true_norm", "gap", "equality")]
-    for r in sorted(reports, key=lambda r: (r.hypothesis_tag, -r.coefficient)):
-        rows.append(
-            (
-                r.hypothesis_tag,
-                format(r.coefficient, ".9g"),
-                format(r.lower_bound, ".9g"),
-                format(r.true_norm, ".9g"),
-                format(r.gap, ".9g"),
-                "yes" if equality_holds(r, tol) else "no",
-            )
-        )
+    rows = [("hypothesis", *_TABLE_NUMBERS, "equality")]
+    for r in sorted(reports, key=lambda r: (r["hypothesis"], -r["coefficient"])):
+        attained = equality_holds(SimpleNamespace(**r), tol)
+        numbers = [_table_number(r, key) for key in _TABLE_NUMBERS]
+        rows.append((r["hypothesis"], *numbers, "yes" if attained else "no"))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
@@ -301,15 +311,10 @@ def _main(argv) -> int:
         config = RunConfig(
             input_path=args.pop("input"), output_path=args.pop("output"), quad=quad, **args
         )
-        if config.command == "certify" and config.table:
-            doc_in = _load_document(config.input_path)
-            report = certify(
-                _function_from(doc_in), _hypothesis_from(doc_in), config.quad, config.tol
-            )
-            status = 0 if report.hypothesis_verified else 2
-            text = render_table([report], config.tol)
+        status, doc = run(config)
+        if config.table:
+            text = render_table([doc], config.tol)
         else:
-            status, doc = run(config)
             text = dumps_csv(doc) if config.output_path.endswith(".csv") else dumps(doc)
         _write_output(text, config.output_path)
     except (SchemaError, ValueError, RuntimeError) as exc:

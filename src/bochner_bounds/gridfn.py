@@ -243,7 +243,8 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         ratio = length * (n_sum + 2.0 * pm) / (n_sum * base)
         log_term = np.where(base > 0, h2 / (2.0 * length) * np.log1p(ratio), 0.0)
         exact = np.where(length > 0, n_sum / 4.0 + pm * pm / n_sum + log_term, na)
-    return np.ldexp(np.maximum(exact, np.linalg.norm(mid, axis=1)), exp)
+    with np.errstate(over="ignore"):  # a panel integral past the float range is inf
+        return np.ldexp(np.maximum(exact, np.linalg.norm(mid, axis=1)), exp)
 
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
@@ -262,7 +263,8 @@ def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> floa
         return float(np.diff(f.nodes) @ panel_norm_integrals(f.values[:-1], f.values[1:]))
     w = _node_weights(f, rule)
     scaled, exp = pow2_scaled_whole(f.values[: w.size])
-    return float(np.ldexp(w @ np.linalg.norm(scaled, axis=1), exp))
+    with np.errstate(over="ignore"):  # an integral past the float range is inf
+        return float(np.ldexp(w @ np.linalg.norm(scaled, axis=1), exp))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:

@@ -79,7 +79,8 @@ def norm(u) -> float:
     no square of an entry of u under- or overflows.
     """
     scaled, exp = pow2_scaled_whole(as_vector(u))
-    return float(np.ldexp(np.linalg.norm(scaled), exp))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 
 @dataclass(frozen=True, eq=False)

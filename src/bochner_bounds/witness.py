@@ -7,7 +7,9 @@ sum (k_j + i h_j) e_j itself satisfies the hypothesis, so a witness is
 built for any class that passes both tests, and refused otherwise rather
 than approximated.
 
-Samplers read the constraints: an argument window, cones alone, or balls.
+:func:`generate` is the one way to sample a family.  Its samplers read the
+constraints (an argument window, cones alone, or balls) and return node
+values, which ``generate`` puts on a uniform grid.
 
 All randomness flows through numpy's documented, portable PCG64 bit
 generator; a family's trial i uses seed ``base_seed + i``, so serial and
@@ -24,15 +26,13 @@ import numpy as np
 from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
 from .hilbert import norm
-from .hypotheses import Cone, Disk, Hypothesis, check, constraints, family_form, tag_of, window
+from .hypotheses import Cone, Hypothesis, check, constraints, family_form, tag_of, window
 from .jsonio import dumps_csv
 
 __all__ = [
     "WitnessSpec",
     "make_witness",
     "perturb_scan",
-    "gen_cone",
-    "gen_disk",
     "FamilySpec",
     "generate",
     "TightnessStats",
@@ -42,21 +42,21 @@ __all__ = [
 ]
 
 COEFF_SURFACE_ULPS = 4  # distance of a witness's coefficient from 1, in units of ulp(1)
-REJECTION_CAP = 10 ** 6
+REJECTION_CAP = 10 ** 6  # candidates a rejection sampler may draw per node
+VIOLATION_TOL = 1e-8  # a tightness trial with gap below -VIOLATION_TOL is a violation
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _uniform_grid(interval: Interval, node_count: int, values: np.ndarray) -> GridFunction:
-    nodes = np.linspace(interval.a, interval.b, node_count)
+def _uniform_grid(interval: Interval, values: np.ndarray) -> GridFunction:
+    nodes = np.linspace(interval.a, interval.b, len(values))
     return GridFunction(interval=interval, nodes=nodes, values=values, interpolation="linear")
 
 
-def _constant(interval: Interval, node_count: int, value: np.ndarray) -> GridFunction:
-    vals = np.tile(np.atleast_1d(value), (node_count, 1))
-    return _uniform_grid(interval, node_count, vals)
+def _repeat(value: np.ndarray, node_count: int) -> np.ndarray:
+    return np.tile(np.atleast_1d(value), (node_count, 1))
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ def make_witness(spec: WitnessSpec) -> GridFunction:
             f"witness requires a coefficient-1 hypothesis, got coefficient {c!r}"
         )
     direction = equality_direction(h)
-    report = check(_constant(spec.interval, 2, direction), h)
+    report = check(_uniform_grid(spec.interval, _repeat(direction, 2)), h)
     if not report.holds:
         raise ValueError(
             f"no constant witness for hypothesis {tag_of(h)!r}: its equality direction "
             f"lies outside the class (worst margin {report.worst_margin!r})"
         )
-    return _constant(spec.interval, spec.node_count, direction)
+    return _uniform_grid(spec.interval, _repeat(direction, spec.node_count))
 
 
 def _widened(h: Hypothesis, eps: float) -> Hypothesis:
@@ -142,7 +142,8 @@ def perturb_scan(
     spread eps and scores against the correspondingly widened hypothesis;
     this breaks equality, and the returned gaps grow with eps.  ``amplitude``
     mode modulates the modulus by 1 + eps*sin(2 pi s) with the direction
-    fixed, which preserves equality (gaps stay at quadrature noise).  A
+    fixed, which preserves equality (gaps stay at quadrature noise).  The
+    perturbed function keeps ``w``'s nodes and interpolation.  A
     perturbation that would leave the hypothesis class raises ValueError
     naming the violated condition.
     """
@@ -154,7 +155,7 @@ def perturb_scan(
             raise ValueError("epsilons must be >= 0")
         if mode == "phase":
             phases = np.exp(1j * eps * (s - 0.5))
-            f_eps = _uniform_grid(w.interval, w.nodes.size, w.values * phases[:, None])
+            values = w.values * phases[:, None]
             h_eps = _widened(h, eps) if eps > 0 else h
         elif mode == "amplitude":
             if eps >= 1.0:
@@ -163,10 +164,11 @@ def perturb_scan(
                     "and flip the direction out of the hypothesis class"
                 )
             amp = 1.0 + eps * np.sin(2.0 * math.pi * s)
-            f_eps = _uniform_grid(w.interval, w.nodes.size, w.values * amp[:, None])
+            values = w.values * amp[:, None]
             h_eps = h
         else:
             raise ValueError(f"unknown perturbation mode {mode!r}")
+        f_eps = GridFunction(w.interval, w.nodes, values, w.interpolation)
         report = certify(f_eps, h_eps, rule)
         if not report.hypothesis_verified:
             raise ValueError(
@@ -176,19 +178,6 @@ def perturb_scan(
     return out
 
 
-def gen_cone(
-    seed: int,
-    phi1: float,
-    phi2: float,
-    rmin: float,
-    rmax: float,
-    nodes: int,
-    interval: Interval = Interval(0.0, 1.0),
-) -> GridFunction:
-    """Scalar samples r*exp(i phi), r ~ U[rmin, rmax], phi ~ U[phi1, phi2]."""
-    return _gen_window(seed, *window(Cone(phi1, phi2)), rmin, rmax, nodes, interval)
-
-
 def _gen_window(
     seed: int,
     lo: float,
@@ -196,16 +185,12 @@ def _gen_window(
     rmin: float,
     rmax: float,
     nodes: int,
-    interval: Interval,
-) -> GridFunction:
-    if not (0.0 < rmin <= rmax):
-        raise ValueError(f"need 0 < rmin <= rmax, got ({rmin!r}, {rmax!r})")
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
+) -> np.ndarray:
+    """Scalar samples r*exp(i phi), r ~ U[rmin, rmax], phi ~ U[lo, hi]."""
     rng = _rng(seed)
     r = rng.uniform(rmin, rmax, nodes)
     phi = rng.uniform(lo, hi, nodes)
-    return _uniform_grid(interval, nodes, (r * np.exp(1j * phi))[:, None])
+    return (r * np.exp(1j * phi))[:, None]
 
 
 def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -216,40 +201,36 @@ def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g * radii[:, None]
 
 
-def gen_disk(
-    seed: int,
-    e,
-    eta1: float,
-    eta2: float,
-    nodes: int,
-    interval: Interval = Interval(0.0, 1.0),
-    cap: int = REJECTION_CAP,
-) -> GridFunction:
-    """Node values sampled from the intersection of the two hypothesis disks.
+def _rejection(draw, nodes: int) -> np.ndarray:
+    """The first ``nodes`` candidates that ``draw`` keeps, in the order drawn.
 
-    Rejection-samples the ball around e and keeps points within eta2 of i*e;
-    raises on an empty intersection before sampling, and returns the single
-    tangency point when the closed disks merely touch.
+    ``draw(batch)`` returns ``batch`` candidates and the mask of those to
+    keep.  Raises RuntimeError before drawing more than ``REJECTION_CAP``
+    candidates per node.
     """
-    h = Disk(e=np.atleast_1d(np.asarray(e, dtype=complex)), eta1=eta1, eta2=eta2)
-    return _gen_two_balls(seed, *constraints(h)[1], nodes, interval, cap)
+    accepted: list[np.ndarray] = []
+    got = 0
+    attempts = 0
+    while got < nodes:
+        batch = max(128, 4 * (nodes - got))
+        if attempts + batch > REJECTION_CAP * nodes:
+            raise RuntimeError(
+                f"rejection sampling exceeded {REJECTION_CAP} attempts per node "
+                f"(accepted {got}/{nodes}); the region is too thin"
+            )
+        candidates, keep = draw(batch)
+        accepted.append(candidates[keep])
+        got += int(np.count_nonzero(keep))
+        attempts += batch
+    return np.concatenate(accepted)[:nodes]
 
 
-def _gen_two_balls(
-    seed: int,
-    centres: np.ndarray,
-    radii: np.ndarray,
-    nodes: int,
-    interval: Interval,
-    cap: int = REJECTION_CAP,
-) -> GridFunction:
+def _gen_two_balls(seed: int, centres: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
     """Samples from the intersection of two closed balls, or their tangency point.
 
     Uniform samples from the first ball are kept only if they also lie in
     the second.
     """
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
     (c1, c2), (r1, r2) = centres, radii.tolist()
     dist = norm(c2 - c1)
     gap_to_touch = (r1 + r2) - dist
@@ -259,24 +240,14 @@ def _gen_two_balls(
             "the distance of the centres; the balls are disjoint"
         )
     if gap_to_touch <= 1e-12:
-        return _constant(interval, nodes, c1 + (r1 / dist) * (c2 - c1))
+        return _repeat(c1 + (r1 / dist) * (c2 - c1), nodes)
     rng = _rng(seed)
-    accepted: list[np.ndarray] = []
-    got = 0
-    attempts = 0
-    while got < nodes:
-        batch = max(128, 4 * (nodes - got))
-        if attempts + batch > cap * nodes:
-            raise RuntimeError(
-                f"rejection sampling exceeded {cap} attempts per node "
-                f"(accepted {got}/{nodes}); the intersection is too thin"
-            )
+
+    def draw(batch):
         cand = c1 + r1 * _unit_ball(rng, batch, c1.size)
-        keep = np.linalg.norm(cand - c2, axis=1) <= r2
-        accepted.append(cand[keep])
-        got += int(np.count_nonzero(keep))
-        attempts += batch
-    return _uniform_grid(interval, nodes, np.concatenate(accepted)[:nodes])
+        return cand, np.linalg.norm(cand - c2, axis=1) <= r2
+
+    return _rejection(draw, nodes)
 
 
 def _gen_soc(
@@ -287,9 +258,7 @@ def _gen_soc(
     rmin: float,
     rmax: float,
     nodes: int,
-    interval: Interval,
-    cap: int = REJECTION_CAP,
-) -> GridFunction:
+) -> np.ndarray:
     """Samples of the homogeneous class Re<f, e_j> >= k_j ||f||, Im >= h_j ||f||.
 
     Draws unit directions u = sum (a_j + i b_j) e_j + residual with a_j >= k_j,
@@ -303,23 +272,14 @@ def _gen_soc(
     r = rng.uniform(rmin, rmax, nodes)
     if budget > 1.0 - 1e-9:
         u = (lows_re + 1j * lows_im) @ vectors
-        vals = r[:, None] * u[None, :]
-        return _uniform_grid(interval, nodes, vals)
-    coeffs = np.empty((nodes, n), dtype=complex)
-    got = 0
-    attempts = 0
-    while got < nodes:
-        batch = max(128, 4 * (nodes - got))
-        if attempts + batch > cap * nodes:
-            raise RuntimeError(f"rejection sampling exceeded {cap} attempts per node")
+        return r[:, None] * u[None, :]
+
+    def draw(batch):
         a = rng.uniform(lows_re[None, :], 1.0, size=(batch, n))
         b = rng.uniform(lows_im[None, :], 1.0, size=(batch, n))
-        keep = np.sum(a * a + b * b, axis=1) <= 1.0
-        kept = min(int(np.count_nonzero(keep)), nodes - got)
-        sel = np.flatnonzero(keep)[:kept]
-        coeffs[got : got + kept] = a[sel] + 1j * b[sel]
-        got += kept
-        attempts += batch
+        return a + 1j * b, np.sum(a * a + b * b, axis=1) <= 1.0
+
+    coeffs = _rejection(draw, nodes)
     vals = coeffs @ vectors
     slack = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(coeffs) ** 2, axis=1)))
     if dim > n:
@@ -329,16 +289,10 @@ def _gen_soc(
         nrm[nrm == 0] = 1.0
         g /= nrm[:, None]
         vals = vals + (slack * rng.uniform(0.0, 1.0, nodes))[:, None] * g
-    return _uniform_grid(interval, nodes, r[:, None] * vals)
+    return r[:, None] * vals
 
 
-def _gen_inner_ball(
-    seed: int,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    nodes: int,
-    interval: Interval,
-) -> GridFunction:
+def _gen_inner_ball(seed: int, centers: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
     """Samples from a ball inscribed in an intersection of balls.
 
     Uses the centroid of the constraint centers; fails if no inscribed ball
@@ -353,8 +307,7 @@ def _gen_inner_ball(
             f"worst slack {delta!r} (the class may be empty or too thin)"
         )
     rng = _rng(seed)
-    vals = v + (0.999 * delta) * _unit_ball(rng, nodes, centers.shape[1])
-    return _uniform_grid(interval, nodes, vals)
+    return v + (0.999 * delta) * _unit_ball(rng, nodes, centers.shape[1])
 
 
 @dataclass(frozen=True)
@@ -373,28 +326,34 @@ class FamilySpec:
     rmax: float = 1.5
 
     def __post_init__(self):
+        if self.nodes < 2:
+            raise ValueError(f"nodes must be >= 2, got {self.nodes!r}")
         if not 0.0 < self.rmin <= self.rmax < math.inf:
             raise ValueError(f"need finite 0 < rmin <= rmax, got ({self.rmin!r}, {self.rmax!r})")
 
 
 def generate(spec: FamilySpec, trial: int = 0) -> GridFunction:
     """Grid function for one trial; trial i uses seed ``spec.seed + i``."""
+    return _uniform_grid(spec.interval, _node_values(spec, spec.seed + trial))
+
+
+def _node_values(spec: FamilySpec, seed: int) -> np.ndarray:
+    """One trial's node values, from the sampler of the hypothesis's constraint form."""
     h = spec.hypothesis
-    seed = spec.seed + trial
     win = window(h)
     if win is not None:
-        return _gen_window(seed, *win, spec.rmin, spec.rmax, spec.nodes, spec.interval)
+        return _gen_window(seed, *win, spec.rmin, spec.rmax, spec.nodes)
     centres, radii = constraints(h)[1]
     if not radii.size:
-        return _gen_soc(seed, *family_form(h), spec.rmin, spec.rmax, spec.nodes, spec.interval)
+        return _gen_soc(seed, *family_form(h), spec.rmin, spec.rmax, spec.nodes)
     if radii.size == 2:
         try:
-            return _gen_two_balls(seed, centres, radii, spec.nodes, spec.interval)
+            return _gen_two_balls(seed, centres, radii, spec.nodes)
         except RuntimeError:  # too thin for rejection sampling
             pass
     # more than two balls, or two that rejection cannot hit: sample a ball
     # inscribed in them all
-    return _gen_inner_ball(seed, centres, radii, spec.nodes, spec.interval)
+    return _gen_inner_ball(seed, centres, radii, spec.nodes)
 
 
 @dataclass(frozen=True)
@@ -413,11 +372,10 @@ def tightness(
     family: FamilySpec,
     h: Hypothesis,
     rule: QuadratureRule = DEFAULT_RULE,
-    violation_tol: float = 1e-8,
 ) -> TightnessStats:
     """Certify ``trials`` generated functions against ``h`` and aggregate ratios.
 
-    ``violations`` counts trials with gap < -violation_tol, i.e. bound
+    ``violations`` counts trials with gap < -VIOLATION_TOL, i.e. bound
     failures beyond tolerance; it is expected to stay at zero whenever the
     family is consistent with the hypothesis.
     """
@@ -429,7 +387,7 @@ def tightness(
         f = generate(family, t)
         report = certify(f, h, rule)
         ratios[t] = report.lower_bound / report.true_norm
-        if report.gap < -violation_tol:
+        if report.gap < -VIOLATION_TOL:
             violations += 1
     return TightnessStats(
         trials=trials,

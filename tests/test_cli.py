@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bochner_bounds
 from bochner_bounds import cli, witness
-from bochner_bounds.bounds import certify
+from bochner_bounds.bounds import bound_report_to_dict, certify
 from bochner_bounds.cli import main, render_table
 from bochner_bounds.gridfn import Interval, sample
 from bochner_bounds.hypotheses import Cone, Karamata
@@ -175,6 +175,23 @@ def test_finite_documents_far_outside_their_disks_exit_2(tmp_path, capsys):
 # the default (model) rule, and the two rules on the nodes
 QUAD_FLAGS = ([], ["--quad-refine", "1"],
               ["--quad-kind", "trapezoid-on-nodes", "--quad-refine", "1"])
+
+
+def test_values_past_the_float_range_exit_1_with_one_error_line(tmp_path, capsys):
+    # |f| = 2.4e308: the integrals are inf, and nothing on the way warns
+    unit_vector = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    disk = {"type": "disk", "e": [[1, 0]], "eta1": 0.9, "eta2": 0.9}
+    cases = [(unit_vector, "integrate", "norm_integral"), (unit_vector, "certify", "lower_bound"),
+             (disk, "check", "worst_margin")]
+    for hyp, command, field in cases:
+        path = write_doc(tmp_path, "over.json", constant_doc(1.7e308 + 1.7e308j, hyp))
+        for flags in QUAD_FLAGS if command != "check" else ([],):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--input", path, *flags]) == 1, (command, flags)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1, (command, flags, err)
+            assert err.startswith(f"error: {field}: "), (command, flags, err)
 
 
 def test_integrate_is_scale_safe(tmp_path, capsys):
@@ -388,8 +405,8 @@ def test_render_table_orders_and_labels():
     import cmath
 
     f = sample(lambda t: cmath.exp(1j * t), Interval(math.pi / 6, math.pi / 3), 65)
-    cone = certify(f, Cone(math.pi / 6, math.pi / 3))
-    karamata = certify(f, Karamata(math.pi / 3))
+    cone = bound_report_to_dict(certify(f, Cone(math.pi / 6, math.pi / 3)))
+    karamata = bound_report_to_dict(certify(f, Karamata(math.pi / 3)))
     text = render_table([karamata, cone])
     lines = text.strip().split("\n")
     assert lines[0].split()[0] == "hypothesis"
@@ -400,9 +417,23 @@ def test_render_table_orders_and_labels():
     assert float(lines[1].split()[1]) > float(lines[2].split()[1])
 
 
+def test_certify_table_exit_codes(tmp_path, capsys):
+    assert main(["certify", "--input", str(INPUTS / "cone_pi6_pi3.json"), "--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == "hypothesis" and lines[1].startswith("cone")
+    assert main(["certify", "--input", str(INPUTS / "failing_unit_vector.json"), "--table"]) == 2
+    assert capsys.readouterr().out.splitlines()[1].startswith("unit_vector")
+    # past the float range, the table refuses the number as the JSON report does
+    hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    path = write_doc(tmp_path, "over.json", constant_doc(1.7e308 + 1.7e308j, hyp))
+    assert main(["certify", "--input", path, "--table"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: lower_bound: cannot serialize non-finite number inf\n"
+
+
 def test_render_table_single_row_and_empty():
     f = sample(lambda t: 1.0 + 0.2j * (t - 0.5), Interval(0, 1), 9)
-    rep = certify(f, Karamata(0.5))
+    rep = bound_report_to_dict(certify(f, Karamata(0.5)))
     text = render_table([rep])
     assert len(text.strip().split("\n")) == 2
     with pytest.raises(ValueError):
@@ -515,11 +546,9 @@ def test_console_entry_runs_the_command_then_freezes():
     assert proc.stderr == "0 True\n"
 
 
-@pytest.mark.parametrize("name", [
-    "FamilySpec", "TightnessStats", "WitnessSpec", "gen_cone", "gen_disk", "generate",
-    "make_witness", "perturb_scan", "tightness",
-])
+@pytest.mark.parametrize("name", bochner_bounds._WITNESS_NAMES)
 def test_package_resolves_the_witness_names_on_first_use(name):
+    assert name in witness.__all__
     assert getattr(bochner_bounds, name) is getattr(witness, name)
     namespace = {}
     exec(f"from bochner_bounds import {name}", namespace)

@@ -5,6 +5,7 @@ import pytest
 
 from bochner_bounds.bounds import certify, coefficient, equality_holds
 
+from bochner_bounds.gridfn import GridFunction, Interval
 from bochner_bounds.hilbert import OrthonormalFamily
 from bochner_bounds.hypotheses import (
     Cone,
@@ -23,8 +24,6 @@ from bochner_bounds import witness
 from bochner_bounds.witness import (
     FamilySpec,
     WitnessSpec,
-    gen_cone,
-    gen_disk,
     generate,
     make_witness,
     perturb_scan,
@@ -126,14 +125,23 @@ def test_amplitude_scan_preserves_equality():
         assert abs(gap) <= 1e-10
     # equality survives because the direction of f stays fixed: the integral
     # remains parallel to (k1 + i k2) e whatever the modulus profile does
-    from bochner_bounds.gridfn import GridFunction
-
     for eps in (0.1, 0.5):
         amp = 1.0 + eps * np.sin(2.0 * math.pi * w.nodes)
         f = GridFunction(w.interval, w.nodes, w.values * amp[:, None])
         report = certify(f, UNIT_SURFACE)
         assert report.hypothesis_verified
         assert equality_holds(report, tol=1e-10)
+
+
+def test_scan_perturbs_on_the_nodes_of_the_witness():
+    # a non-uniform grid: the phase ramp must be scored on these nodes
+    nodes = np.array([0.0, 0.05, 0.1, 1.0])
+    h = Cone(0.7, 0.7)
+    w = GridFunction(Interval(0.0, 1.0), nodes, np.tile(np.exp(0.7j), (4, 1)), "linear")
+    [(eps, gap)] = perturb_scan(w, h, [0.2])
+    ramp = GridFunction(w.interval, nodes, w.values * np.exp(0.2j * (nodes - 0.5))[:, None])
+    assert gap == certify(ramp, witness._widened(h, 0.2)).gap
+    assert gap == pytest.approx(0.101299, abs=1e-6)
 
 
 def test_scan_errors_when_perturbation_leaves_the_class():
@@ -148,22 +156,23 @@ def test_scan_errors_when_perturbation_leaves_the_class():
 
 
 def test_gen_cone_is_deterministic_and_sound():
-    f1 = gen_cone(42, 0.2, 1.0, 0.5, 1.5, 33)
-    f2 = gen_cone(42, 0.2, 1.0, 0.5, 1.5, 33)
+    spec = FamilySpec(Cone(0.2, 1.0), seed=42, nodes=33)
+    f1 = generate(spec)
+    f2 = generate(spec)
     assert np.array_equal(f1.values, f2.values)
     assert np.array_equal(f1.nodes, f2.nodes)
     assert check(f1, Cone(0.2, 1.0)).holds
-    f3 = gen_cone(43, 0.2, 1.0, 0.5, 1.5, 33)
+    f3 = generate(FamilySpec(Cone(0.2, 1.0), seed=43, nodes=33))
     assert not np.array_equal(f1.values, f3.values)
 
 
 def test_gen_cone_degenerate_window_stays_on_ray():
-    f = gen_cone(0, 0.7, 0.7, 0.5, 1.5, 17)
+    f = generate(FamilySpec(Cone(0.7, 0.7), seed=0))
     assert np.allclose(np.angle(f.values[:, 0]), 0.7)
 
 
 def test_gen_disk_samples_lie_in_both_disks():
-    f = gen_disk(1, E1, 0.9, 0.9, 400)
+    f = generate(FamilySpec(Disk(E1, 0.9, 0.9), seed=1, nodes=400))
     assert np.all(np.linalg.norm(f.values - E1, axis=1) <= 0.9)
     assert np.all(np.linalg.norm(f.values - 1j * E1, axis=1) <= 0.9)
     assert check(f, Disk(E1, 0.9, 0.9)).holds
@@ -171,13 +180,33 @@ def test_gen_disk_samples_lie_in_both_disks():
 
 def test_gen_disk_rejects_empty_intersection():
     with pytest.raises(ValueError, match="empty intersection"):
-        gen_disk(0, E1, 0.6, 0.6, 10)
+        generate(FamilySpec(Disk(E1, 0.6, 0.6), seed=0, nodes=10))
 
 
 def test_gen_disk_tangency_yields_the_single_point():
     r = math.sqrt(2) / 2
-    f = gen_disk(0, E1, r, r, 5)
+    f = generate(FamilySpec(Disk(E1, r, r), seed=0, nodes=5))
     assert np.allclose(f.values, (1 + 1j) / 2)
+
+
+def test_rejection_keeps_the_draw_order_and_stops_at_the_cap():
+    drawn = []
+
+    def every_fifth(batch):
+        start = sum(drawn)
+        drawn.append(batch)
+        candidates = np.arange(start, start + batch)
+        return candidates, candidates % 5 == 0
+
+    # 40 of the first 200 are kept, then a batch of at least 128 for the last 10
+    assert np.array_equal(witness._rejection(every_fifth, 50), 5 * np.arange(50))
+    assert drawn == [200, 128]
+
+    def never(batch):
+        return np.zeros(batch), np.zeros(batch, dtype=bool)
+
+    with pytest.raises(RuntimeError, match="exceeded 1000000 attempts per node"):
+        witness._rejection(never, 2)
 
 
 @pytest.mark.parametrize(
@@ -202,6 +231,15 @@ def test_generator_soundness_per_variant(h):
         assert check(f, h).holds, f"trial {trial} violates {type(h).__name__}"
 
 
+def test_family_spec_checks_the_node_count_for_every_class():
+    # a window, cones alone, two balls and four balls
+    for h in (Cone(0.2, 1.1), UnitVector(E1, 0.3, 0.4), Disk(E1, 0.9, 0.8),
+              OrthoDisk(FAM2, rhos=(0.95, 0.95), etas=(0.95, 0.95))):
+        for nodes in (1, 0, -1):
+            with pytest.raises(ValueError, match="nodes must be >= 2"):
+                FamilySpec(hypothesis=h, seed=0, nodes=nodes)
+
+
 def test_generate_is_deterministic_per_trial():
     spec = FamilySpec(hypothesis=Disk(E1, 0.9, 0.9), seed=5)
     a = generate(spec, 3)
@@ -219,8 +257,8 @@ def test_generate_samples_an_inscribed_ball_where_rejection_fails(monkeypatch):
     h = OrthoDisk(OrthonormalFamily(E1[None, :]), rhos=(0.70711,), etas=(0.70711,))
     spec = FamilySpec(hypothesis=h, seed=5)
     f = generate(spec, 2)
-    inner = witness._gen_inner_ball(7, *constraints(h)[1], spec.nodes, spec.interval)
-    assert np.array_equal(f.values, inner.values) and check(f, h).holds
+    inner = witness._gen_inner_ball(7, *constraints(h)[1], spec.nodes)
+    assert np.array_equal(f.values, inner) and check(f, h).holds
 
 
 def test_tightness_cone_family():
