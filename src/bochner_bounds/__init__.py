@@ -6,7 +6,6 @@ from .gridfn import (
     GridFunction,
     Interval,
     QuadratureRule,
-    evaluate,
     evaluate_many,
     gridfunction_from_dict,
     gridfunction_to_dict,

@@ -49,7 +49,7 @@ from .gridfn import (
     integrate_vector,
 )
 from .hilbert import norm
-from .hypotheses import check, hypothesis_from_dict, hypothesis_to_dict
+from .hypotheses import DEFAULT_CHECK_TOL, check, hypothesis_from_dict, hypothesis_to_dict
 from .jsonio import SchemaError, decode_floats, dumps, dumps_csv, encode_pairs
 
 __all__ = ["RunConfig", "run", "render_table", "main", "console_main"]
@@ -65,7 +65,7 @@ class RunConfig:
     input_path: str
     output_path: str = "-"
     quad: QuadratureRule = QuadratureRule()
-    tol: float = 1e-9
+    tol: float = DEFAULT_CHECK_TOL
     seed: int = 0
     trials: int = 100
     table: bool = False
@@ -210,7 +210,7 @@ def _table_number(report: dict, key: str) -> str:
     return format(x, ".9g")
 
 
-def render_table(reports, tol: float = 1e-9) -> str:
+def render_table(reports, tol: float = DEFAULT_CHECK_TOL) -> str:
     """Aligned text table over bound report documents, sorted by tag then coefficient desc.
 
     A report document is what :func:`run` returns for ``certify``.  A
@@ -283,7 +283,8 @@ def _parser(commands) -> _Parser:
         p.add_argument("--input", required=True, help="path to the input JSON document")
         p.add_argument("--output", default="-", help="output path, *.csv for CSV, '-' for stdout")
         if name in ("check", "certify"):
-            p.add_argument("--tol", type=float, default=1e-9, help="hypothesis check tolerance")
+            p.add_argument("--tol", type=float, default=DEFAULT_CHECK_TOL,
+                           help="hypothesis check tolerance")
         if name in ("certify", "integrate", "bench"):
             p.add_argument("--quad-kind", default=DEFAULT_RULE.kind, help="quadrature rule",
                            choices=("composite-simpson", "trapezoid-on-nodes"))

@@ -1,27 +1,34 @@
 """Sampled vector-valued functions on [a, b] and quadrature of them.
 
 A :class:`GridFunction` stores node values of f: [a, b] -> C^d together with
-an interpolation mode ("linear" or "constleft").  Two integrals are needed
-downstream: the vector integral of f and the scalar integral of ||f||.  Both
-use only what is stored, the nodes and their values:
+an interpolation mode ("linear" or "constleft").  Its interval is its node
+span: ``a`` and ``b`` must equal the first and last node exactly.  Two
+integrals are needed downstream: the vector integral of f and the scalar
+integral of ||f||.  Both use only the nodes and their values, by one of
+four methods, which :func:`_method` picks from f and the rule:
 
-* ``constleft``: the model is constant per half-open panel, so both are
-  exact rectangles on the left node values, under every rule.
-* ``composite-simpson`` with ``refinement == 1`` on a uniform grid of at
-  least two panels: classic composite Simpson on the node samples (an odd
-  panel count ends with the 3/8 rule), the "smooth truth" mode.
-* ``trapezoid-on-nodes`` with ``refinement == 1``: the trapezoid rule on
-  the node samples of f and of ||f||.
-* every other ``linear`` case: the exact integrals of the piecewise-linear
-  model, whatever the refinement.  The vector integral is the trapezoid
-  rule; the norm integral sums :func:`panel_norm_integrals`.
+* ``rectangles``: ``constleft`` data, under every rule.  The model is
+  constant per half-open panel, so rectangles on the left node values are
+  exact.
+* ``simpson``: ``composite-simpson`` with ``refinement == 1`` on a uniform
+  grid (every spacing equal to the first within 1e-12 of the span) of at
+  least two panels.  Classic composite Simpson on the node samples of f and
+  of ||f|| (an odd panel count ends with the 3/8 rule), the "smooth truth"
+  mode.
+* ``trapezoid``: ``trapezoid-on-nodes`` with ``refinement == 1``.  The
+  trapezoid rule on the node samples of f and of ||f||.
+* ``model``: every other ``linear`` case, whatever the refinement.  The
+  exact integrals of the piecewise-linear model: the vector integral is
+  the trapezoid rule, the norm integral sums :func:`panel_norm_integrals`.
 
 All weights are nonnegative and every exact panel norm integral is at least
 the norm of the panel's midpoint, so the discrete triangle inequality
 
     ||integrate_vector(f)|| <= integrate_norm(f)
 
-holds structurally under every rule, not just up to quadrature error.
+holds structurally under every rule, not just up to quadrature error.  No
+tolerance is absolute, so the method and the integrals are homogeneous in
+t: nodes 2^k t give 2^k times the integrals on t.
 
 :func:`gridfunction_to_dict` and :func:`gridfunction_from_dict` are the wire
 form ``{a, b, nodes, values, interp}``.  Both go through the array codec of
@@ -45,7 +52,6 @@ __all__ = [
     "DEFAULT_RULE",
     "GridFunction",
     "sample",
-    "evaluate",
     "evaluate_many",
     "integrate_vector",
     "integrate_norm",
@@ -90,7 +96,7 @@ DEFAULT_RULE = QuadratureRule()
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Vector-valued samples on strictly increasing nodes t_0=a < ... < t_N=b."""
+    """Vector-valued samples on strictly increasing nodes a = t_0 < ... < t_N = b."""
 
     interval: Interval
     nodes: np.ndarray
@@ -114,8 +120,7 @@ class GridFunction:
             raise ValueError("values: must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if not (abs(nodes[0] - self.interval.a) <= 1e-12
-                and abs(nodes[-1] - self.interval.b) <= 1e-12):
+        if not (nodes[0] == self.interval.a and nodes[-1] == self.interval.b):
             raise ValueError("nodes must start at a and end at b")
         if self.interpolation not in INTERPOLATIONS:
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
@@ -139,9 +144,8 @@ def sample(fn, interval: Interval, num_nodes: int, interpolation: str = "linear"
 def evaluate_many(f: GridFunction, ts) -> np.ndarray:
     """Interpolated values at each t in ``ts`` (shape (len(ts), d)); exact at nodes."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < f.interval.a - 1e-12) or np.any(ts > f.interval.b + 1e-12):
+    if not np.all((ts >= f.interval.a) & (ts <= f.interval.b)):
         raise ValueError(f"evaluation point outside [{f.interval.a}, {f.interval.b}]")
-    ts = np.clip(ts, f.interval.a, f.interval.b)
     if f.interpolation == "linear":
         out = np.empty((ts.size, f.dim), dtype=complex)
         for j in range(f.dim):
@@ -150,18 +154,12 @@ def evaluate_many(f: GridFunction, ts) -> np.ndarray:
             )
         return out
     # constleft: value of the node at or immediately left of t, exact at nodes
-    idx = np.clip(np.searchsorted(f.nodes, ts, side="right") - 1, 0, f.nodes.size - 1)
-    return f.values[idx]
-
-
-def evaluate(f: GridFunction, t: float) -> np.ndarray:
-    """Interpolated value at a single point t in [a, b]."""
-    return evaluate_many(f, [float(t)])[0]
+    return f.values[np.searchsorted(f.nodes, ts, side="right") - 1]
 
 
 def _is_uniform(nodes: np.ndarray) -> bool:
     h = np.diff(nodes)
-    return bool(np.max(np.abs(h - h[0])) <= 1e-12 * max(1.0, abs(nodes[-1] - nodes[0])))
+    return bool(np.max(np.abs(h - h[0])) <= 1e-12 * (nodes[-1] - nodes[0]))
 
 
 def _simpson_weights_uniform(n_intervals: int, h: float) -> np.ndarray:
@@ -183,23 +181,23 @@ def _simpson_weights_uniform(n_intervals: int, h: float) -> np.ndarray:
     return w
 
 
-def _simpson_on_nodes(f: GridFunction, rule: QuadratureRule) -> bool:
-    simpson = rule.kind == "composite-simpson" and rule.refinement == 1
-    return simpson and f.nodes.size >= 3 and _is_uniform(f.nodes)
-
-
-def _integrates_model(f: GridFunction, rule: QuadratureRule) -> bool:
-    """Whether ``rule`` takes the exact integrals of f's piecewise-linear model."""
-    trapezoid = rule.kind == "trapezoid-on-nodes" and rule.refinement == 1
-    return f.interpolation == "linear" and not (trapezoid or _simpson_on_nodes(f, rule))
-
-
-def _node_weights(f: GridFunction, rule: QuadratureRule) -> np.ndarray:
-    """Nonnegative weights on the first ``w.size`` nodes of f."""
-    nodes = f.nodes
+def _method(f: GridFunction, rule: QuadratureRule) -> str:
+    """The method ``rule`` takes on f; the module docstring says what each does."""
     if f.interpolation == "constleft":
-        return np.diff(nodes)  # the model is constant per panel: rectangles are exact
-    if _simpson_on_nodes(f, rule):
+        return "rectangles"
+    if rule.refinement == 1:
+        if rule.kind == "trapezoid-on-nodes":
+            return "trapezoid"
+        if f.nodes.size >= 3 and _is_uniform(f.nodes):
+            return "simpson"
+    return "model"
+
+
+def _node_weights(nodes: np.ndarray, method: str) -> np.ndarray:
+    """Nonnegative weights of ``method`` on the first ``w.size`` nodes."""
+    if method == "rectangles":
+        return np.diff(nodes)
+    if method == "simpson":
         return _simpson_weights_uniform(nodes.size - 1, (nodes[-1] - nodes[0]) / (nodes.size - 1))
     half = np.diff(nodes) / 2.0  # trapezoid: half of each adjacent panel
     w = np.zeros(nodes.size)
@@ -240,8 +238,10 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         pm = np.abs(pm)
         p0 = pm - length / 2.0
         base = np.where(p0 >= 0, p0 + n0, h2 / (n0 - p0))
-        ratio = length * (n_sum + 2.0 * pm) / (n_sum * base)
-        log_term = np.where(base > 0, h2 / (2.0 * length) * np.log1p(ratio), 0.0)
+        num, den = length * (n_sum + 2.0 * pm), n_sum * base
+        with np.errstate(over="ignore"):  # num / den is inf where h2 is subnormal
+            log1p = np.where(num / den < np.inf, np.log1p(num / den), np.log(num) - np.log(den))
+        log_term = np.where(base > 0, h2 / (2.0 * length) * log1p, 0.0)
         exact = np.where(length > 0, n_sum / 4.0 + pm * pm / n_sum + log_term, na)
     with np.errstate(over="ignore"):  # a panel integral past the float range is inf
         return np.ldexp(np.maximum(exact, np.linalg.norm(mid, axis=1)), exp)
@@ -249,7 +249,7 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
     """Componentwise integral of f under ``rule``."""
-    w = _node_weights(f, rule)
+    w = _node_weights(f.nodes, _method(f, rule))
     return w @ f.values[: w.size]
 
 
@@ -259,9 +259,10 @@ def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> floa
     No square of a value under- or overflows: the rules on the nodes scale
     all node values by one power of two, the model rule each panel.
     """
-    if _integrates_model(f, rule):
+    method = _method(f, rule)
+    if method == "model":
         return float(np.diff(f.nodes) @ panel_norm_integrals(f.values[:-1], f.values[1:]))
-    w = _node_weights(f, rule)
+    w = _node_weights(f.nodes, method)
     scaled, exp = pow2_scaled_whole(f.values[: w.size])
     with np.errstate(over="ignore"):  # an integral past the float range is inf
         return float(np.ldexp(w @ np.linalg.norm(scaled, axis=1), exp))

@@ -92,6 +92,16 @@ class GramViolation:
     tol: float
 
 
+class _NotOrthonormal(ValueError):
+    """A Gram matrix off the identity, with its :class:`GramViolation`."""
+
+    def __init__(self, violation: GramViolation):
+        j, k = violation.pair
+        super().__init__(f"not orthonormal: |<e_{j}, e_{k}> - delta| = "
+                         f"{violation.deviation:.3e} > tol {violation.tol:.1e}")
+        self.violation = violation
+
+
 @dataclass(frozen=True, eq=False)
 class OrthonormalFamily:
     """n vectors in C^d (rows of ``vectors``) with Gram matrix ~ identity.
@@ -113,12 +123,11 @@ class OrthonormalFamily:
             raise ValueError(f"orthonormality impossible: {n} vectors in dimension {d}")
         m.setflags(write=False)
         object.__setattr__(self, "vectors", m)
-        bad = _gram_violation(m, self.tol)
-        if bad is not None:
-            j, k = bad.pair
-            raise ValueError(
-                f"not orthonormal: |<e_{j}, e_{k}> - delta| = {bad.deviation:.3e} > tol {self.tol:.1e}"
-            )
+        gram = m @ m.conj().T
+        dev = np.abs(gram - np.eye(n))
+        j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        if not dev[j, k] <= self.tol:  # also catches NaN entries
+            raise _NotOrthonormal(GramViolation((int(j), int(k)), float(dev[j, k]), self.tol))
 
     @property
     def n(self) -> int:
@@ -129,16 +138,6 @@ class OrthonormalFamily:
         return self.vectors.shape[1]
 
 
-def _gram_violation(m: np.ndarray, tol: float) -> GramViolation | None:
-    gram = m @ m.conj().T
-    dev = np.abs(gram - np.eye(m.shape[0]))
-    j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    worst = float(dev[j, k])
-    if not worst <= tol:  # also catches NaN entries
-        return GramViolation(pair=(int(j), int(k)), deviation=worst, tol=tol)
-    return None
-
-
 def check_orthonormal(vectors, tol: float = 1e-12) -> OrthonormalFamily | GramViolation:
     """Accept a sequence of vectors as an orthonormal family, or report why not.
 
@@ -147,15 +146,10 @@ def check_orthonormal(vectors, tol: float = 1e-12) -> OrthonormalFamily | GramVi
     Raises ValueError when orthonormality is structurally impossible (more
     vectors than dimensions, ragged input).
     """
-    m = np.array(vectors, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < 1:
-        raise ValueError("expected a nonempty sequence of equal-length vectors")
-    if m.shape[0] > m.shape[1]:
-        raise ValueError(f"orthonormality impossible: {m.shape[0]} vectors in dimension {m.shape[1]}")
-    bad = _gram_violation(m, tol)
-    if bad is not None:
-        return bad
-    return OrthonormalFamily(vectors=m, tol=tol)
+    try:
+        return OrthonormalFamily(vectors, tol)
+    except _NotOrthonormal as exc:
+        return exc.violation
 
 
 def span_projection(x, fam: OrthonormalFamily) -> np.ndarray:

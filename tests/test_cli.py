@@ -194,6 +194,20 @@ def test_values_past_the_float_range_exit_1_with_one_error_line(tmp_path, capsys
             assert err.startswith(f"error: {field}: "), (command, flags, err)
 
 
+def test_an_interval_that_is_not_the_node_span_exits_1_naming_the_function(tmp_path, capsys):
+    # nodes overrunning a short interval, and nodes covering only part of one
+    for name, interval, nodes in (("overrun", (0.0, 1e-14), [0.0, 5e-15, 1.5e-14]),
+                                  ("part", (-1e-13, 1e-14), [0.0, 1e-14])):
+        doc = constant_doc(1 + 0j, {"type": "k_cond", "e": [[1, 0]], "K": 2.0}, n=len(nodes))
+        doc["function"].update(a=interval[0], b=interval[1], nodes=nodes)
+        path = write_doc(tmp_path, f"{name}.json", doc)
+        for command in ("check", "certify", "integrate"):
+            assert main([command, "--input", path]) == 1, (name, command)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1, (name, command, err)
+            assert err.startswith("error: function: nodes must start at a and end at b"), err
+
+
 def test_integrate_is_scale_safe(tmp_path, capsys):
     hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
     ramp = constant_doc(0j, hyp, n=3)

@@ -2,10 +2,11 @@
 
 Each case is an exit status and the bytes a report renders to, so a
 refactor that must keep report bytes can be checked against these digests.
-They pin the bytes this numpy/BLAS build writes: the integrals are BLAS
-sums, whose order may differ on another CPU or BLAS.  They hold until
-ROADMAP item 2 lands fixed-order sums, which is expected to move the last
-bits of some reports.
+``certify`` and ``integrate`` are pinned under the default rule and under
+both rules on the nodes.  They pin the bytes this numpy/BLAS build writes:
+the integrals are BLAS sums, whose order may differ on another CPU or BLAS.
+They hold until ROADMAP item 3 lands fixed-order sums, which is expected to
+move the last bits of some reports.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from bochner_bounds.cli import RunConfig, main, run
+from bochner_bounds.gridfn import QuadratureRule
 from bochner_bounds.jsonio import dumps
 from bochner_bounds.witness import stats_to_csv, tightness
 
@@ -49,6 +51,37 @@ DIGESTS = {
     "families": "4d8f948de50d61a9afec482d50a151f7e7b1a73fb89532fc29a4546c85865d33",
 }
 
+ON_NODE_RULES = ("composite-simpson", "trapezoid-on-nodes")  # each with refinement 1
+ON_NODE_CASES = [(command, name, kind) for kind in ON_NODE_RULES for command, name in CASES
+                 if command in ("certify", "integrate")]
+
+ON_NODE_DIGESTS = {
+    "certify cone_pi6_pi3.json composite-simpson":
+        "0988f15ad4f5ef0a1929211d9e5306278ff3b3d2800d9d4a336523aedbd4fb7b",
+    "integrate cone_pi6_pi3.json composite-simpson":
+        "ad2d94e5f3494767c61afe971c1f789fc8d591c8c5aa67951878520f5ef0401e",
+    "certify disk_lens.json composite-simpson":
+        "9ff6850b0150e3296163a08022f7fcb62e5248e388e373e513d0773f0dc71fca",
+    "integrate disk_lens.json composite-simpson":
+        "52fd0ef7c6564ff47c9c8def4a7d44b0deb33230df159d612acdca8f9268de94",
+    "certify failing_unit_vector.json composite-simpson":
+        "ea9b2a3249992abee85250682223fe8cfbbf3eb2a33dcfca571116b20966e6b4",
+    "integrate failing_unit_vector.json composite-simpson":
+        "fbaaa8b312f964699f1a57113ba37c4ba38255ed600e737f357a35c506711707",
+    "certify cone_pi6_pi3.json trapezoid-on-nodes":
+        "356bcc90edb721cfc4c050239f023d9bfe81f525bc472d3ce1ad0168f6fd6769",
+    "integrate cone_pi6_pi3.json trapezoid-on-nodes":
+        "14c826f6bb065773b97285c531ae118ad9ee3ef395cd49f6f17ba0a577e197b6",
+    "certify disk_lens.json trapezoid-on-nodes":
+        "587652a35cc74caac6ec60813018cc8d831d5507e745aa66383f91d00249514f",
+    "integrate disk_lens.json trapezoid-on-nodes":
+        "2ec84b4478a67075553b50eb0afff0090296e648faab8de1437e144fce4ffbb9",
+    "certify failing_unit_vector.json trapezoid-on-nodes":
+        "d86daa4d14efaa214bb0a14724576ef549595942e587d6975b066b877e50a78d",
+    "integrate failing_unit_vector.json trapezoid-on-nodes":
+        "8ae6aded68885d216f8d88c4a5f7d3d61f4f70c71c40a2b9040e64ef0a64734e",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -58,6 +91,14 @@ def _sha256(text: str) -> str:
 def test_bundled_report_bytes(command, name):
     status, doc = run(RunConfig(command=command, input_path=str(INPUTS / name)))
     assert _sha256(f"{status}\n{dumps(doc)}") == DIGESTS[f"{command} {name}"]
+
+
+@pytest.mark.parametrize("command, name, kind", ON_NODE_CASES,
+                         ids=[" ".join(case) for case in ON_NODE_CASES])
+def test_bundled_report_bytes_on_the_nodes(command, name, kind):
+    config = RunConfig(command=command, input_path=str(INPUTS / name), quad=QuadratureRule(kind, 1))
+    status, doc = run(config)
+    assert _sha256(f"{status}\n{dumps(doc)}") == ON_NODE_DIGESTS[f"{command} {name} {kind}"]
 
 
 def test_bench_csv_bytes(tmp_path):
