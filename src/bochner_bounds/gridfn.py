@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import pow2_scaled, pow2_scaled_whole
+from .hilbert import pow2_scaled, pow2_scaled_whole, row_norms, row_sums
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -116,6 +116,8 @@ class GridFunction:
             )
         if not np.all(np.isfinite(nodes)):
             raise ValueError("nodes: must be finite")
+        if values.shape[1] == 0:
+            raise ValueError("values: need at least one component per node (d >= 1)")
         if not np.all(np.isfinite(values)):
             raise ValueError("values: must be finite")
         if not np.all(np.diff(nodes) > 0):
@@ -226,25 +228,29 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """
     (a, b), exp = pow2_scaled(x0, x1)
     mid = 0.5 * a + 0.5 * b
-    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    na, nb = row_norms(a), row_norms(b)
     n0, n_sum = np.minimum(na, nb), na + nb
     # C^d as R^2d: Re<x, y> is the dot product of the float views
     v = b.view(float) - a.view(float)
-    length = np.linalg.norm(v, axis=1)
+    length = row_norms(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = v / length[:, None]
-        pm = (mid.view(float) * u).sum(axis=1)  # (p0 + p1) / 2 before orienting
-        h2 = np.square(np.linalg.norm(mid.view(float) - pm[:, None] * u, axis=1))
+        pm = row_sums(mid.view(float) * u)  # (p0 + p1) / 2 before orienting
+        h2 = np.square(row_norms(mid.view(float) - pm[:, None] * u))
         pm = np.abs(pm)
         p0 = pm - length / 2.0
         base = np.where(p0 >= 0, p0 + n0, h2 / (n0 - p0))
         num, den = length * (n_sum + 2.0 * pm), n_sum * base
         with np.errstate(over="ignore"):  # num / den is inf where h2 is subnormal
-            log1p = np.where(num / den < np.inf, np.log1p(num / den), np.log(num) - np.log(den))
+            ratio = num / den
+        log1p = np.log1p(ratio)
+        far = ~(ratio < np.inf)
+        if far.any():
+            log1p[far] = np.log(num[far]) - np.log(den[far])
         log_term = np.where(base > 0, h2 / (2.0 * length) * log1p, 0.0)
         exact = np.where(length > 0, n_sum / 4.0 + pm * pm / n_sum + log_term, na)
     with np.errstate(over="ignore"):  # a panel integral past the float range is inf
-        return np.ldexp(np.maximum(exact, np.linalg.norm(mid, axis=1)), exp)
+        return np.ldexp(np.maximum(exact, row_norms(mid)), exp)
 
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
@@ -265,7 +271,7 @@ def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> floa
     w = _node_weights(f.nodes, method)
     scaled, exp = pow2_scaled_whole(f.values[: w.size])
     with np.errstate(over="ignore"):  # an integral past the float range is inf
-        return float(np.ldexp(w @ np.linalg.norm(scaled, axis=1), exp))
+        return float(np.ldexp(w @ row_norms(scaled), exp))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:

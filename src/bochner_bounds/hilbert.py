@@ -3,6 +3,13 @@
 Vectors are 1-D complex numpy arrays. The inner product is linear in the
 first slot and conjugate-linear in the second, i.e. ``inner(u, v) =
 sum(u_j * conj(v_j))``, so that ``Re inner(f, 1j*e) == Im inner(f, e)``.
+
+The row kernels :func:`row_sums`, :func:`row_norms` and the per-row peak of
+:func:`pow2_scaled` are the one place that fixes the order in which the
+entries of a row are combined.  Every short-axis row reduction of the
+package goes through them.  They give numpy's own ``axis=-1`` reductions
+bit for bit, but as a few passes over whole columns instead of one numpy
+inner loop per row of 2-16 floats.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ __all__ = [
     "as_vector",
     "inner",
     "norm",
+    "row_sums",
+    "row_norms",
     "pow2_scaled",
     "pow2_scaled_whole",
     "OrthonormalFamily",
@@ -43,6 +52,65 @@ def inner(u, v) -> complex:
     return complex(np.sum(u * np.conj(v)))
 
 
+_FEW_ROWS = 256  # fewer rows than this: numpy's per-row loops beat one pass per column
+
+
+def row_sums(s) -> np.ndarray:
+    """Sum of each row of the real 2-D array ``s``: ``np.add.reduce(s, axis=-1)`` bit for bit.
+
+    numpy adds to 0.0 the pairwise sum of a row of n entries: left to right
+    for n < 8; for 8 <= n <= 128 eight interleaved partial sums r_0..r_7,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the last n % 8
+    entries left to right; above 128 the sum of its two parts split at n/2,
+    rounded down to a multiple of 8.  This takes the same order with one
+    vectorized pass per column, where numpy runs one inner loop per row.
+    Below 256 rows those inner loops cost less than the passes, so
+    numpy's own reduction is taken.
+    """
+    s = np.asarray(s)
+    if len(s) < _FEW_ROWS:
+        return np.add.reduce(s, axis=1)
+    if s.shape[1] < 8:  # left to right from 0.0
+        total = np.zeros(len(s))
+        for col in s.T:
+            total += col
+        return total
+    total = _pairwise_sums(s)
+    total += 0.0  # a row of -0.0 sums to 0.0
+    return total
+
+
+def _pairwise_sums(s: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each row of ``s``, for rows of at least 8 entries."""
+    n = s.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sums(s[:, :half]) + _pairwise_sums(s[:, half:])
+    blocks = n - n % 8
+    r = s[:, :8].T  # row j: the partial sum r_j of columns j, j + 8, j + 16, ...
+    if blocks > 8:
+        r = np.add(r, s[:, 8:16].T, order="C")
+        for j in range(16, blocks, 8):
+            r += s[:, j:j + 8].T
+    pairs = np.add(r[0::2], r[1::2], order="C")  # r0+r1, r2+r3, r4+r5, r6+r7
+    pairs[0::2] += pairs[1::2]
+    total = pairs[0] + pairs[2]
+    for j in range(blocks, n):
+        total += s[:, j]
+    return total
+
+
+def row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row of the 2-D array ``x``: ``np.linalg.norm(x, axis=-1)`` bit for bit.
+
+    The squared modulus is numpy's ``(x.conj() * x).real``, whose complex
+    product may round a*a + b*b once (fused) rather than twice.
+    """
+    x = np.asarray(x)
+    squares = (x.conj() * x).real if np.iscomplexobj(x) else x * x
+    return np.sqrt(row_sums(squares))
+
+
 def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
     """Scale row k of every complex array by one power of two 2^-e_k, exactly.
 
@@ -52,11 +120,17 @@ def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
     of the rows.  A 1-D array is one row.  Returns (scaled arrays, e).
     """
     views = [np.ascontiguousarray(x, dtype=complex).view(float) for x in arrays]
-    peak = np.abs(views[0]).max(axis=-1, keepdims=True)
+    peak = _row_peaks(views[0])
     for v in views[1:]:
-        np.maximum(peak, np.abs(v).max(axis=-1, keepdims=True), out=peak)
+        np.maximum(peak, _row_peaks(v), out=peak)
     exp = np.frexp(peak)[1]
     return [np.ldexp(v, -exp).view(complex) for v in views], exp[..., 0]
+
+
+def _row_peaks(v: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row of the float array ``v``, kept as a column."""
+    # column-major, the maximum runs over whole columns
+    return np.maximum.reduce(np.abs(v, order="F"), axis=-1, keepdims=True)
 
 
 def pow2_scaled_whole(x) -> tuple[np.ndarray, int]:
@@ -66,9 +140,9 @@ def pow2_scaled_whole(x) -> tuple[np.ndarray, int]:
     ratios of such entries stay as they are.  Returns (scaled array of x's
     shape, e).
     """
-    x = np.asarray(x)
-    (scaled,), exp = pow2_scaled(x.reshape(1, -1))
-    return scaled.reshape(x.shape), int(exp[0])
+    v = np.ascontiguousarray(x, dtype=complex).view(float)
+    exp = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -exp).view(complex), exp
 
 
 def norm(u) -> float:
@@ -162,13 +236,11 @@ def span_projection(x, fam: OrthonormalFamily) -> np.ndarray:
 
 
 def bessel_defect(x, fam: OrthonormalFamily) -> float:
-    """Bessel slack ||x||^2 - sum_j |<x, e_j>|^2.
+    """Bessel slack ||x||^2 - sum_j |<x, e_j>|^2, nonnegative.
 
-    Equals ||x - span_projection(x, fam)||^2, hence is nonnegative and
-    vanishes exactly when x lies in the span of the family.
+    Computed as ||x - span_projection(x, fam)||^2, to which it is equal, so
+    it is a square and never negative, and it vanishes when x lies in the
+    span of the family up to rounding of the projection.
     """
     x = as_vector(x)
-    if x.size != fam.dim:
-        raise ValueError(f"dimension mismatch: vector has {x.size}, family has {fam.dim}")
-    coeffs = fam.vectors.conj() @ x
-    return float(np.sum(np.abs(x) ** 2) - np.sum(np.abs(coeffs) ** 2))
+    return norm(x - span_projection(x, fam)) ** 2

@@ -44,7 +44,7 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled, pow2_scaled_whole
+from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled, pow2_scaled_whole, row_norms
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -371,11 +371,11 @@ def _ball_slacks(values: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> 
     slacks = []
     for c, r in zip(centres, radii):
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = np.linalg.norm(np.subtract(values, c, out=diff), axis=1)
+            dist = row_norms(np.subtract(values, c, out=diff))
             big = ~np.isfinite(dist)
             if big.any():
                 (v, cs), exp = pow2_scaled(values[big], c)
-                dist[big] = np.ldexp(np.linalg.norm(v - cs, axis=1), exp)
+                dist[big] = np.ldexp(row_norms(v - cs), exp)
         slacks.append(r - dist)
     return slacks
 
@@ -471,7 +471,7 @@ def _least_cosines(f: GridFunction, rows: np.ndarray) -> np.ndarray:
     # ratios: one exact power-of-two scale of the whole array leaves them as
     # they are, and keeps the norms' squares in range
     values, _ = pow2_scaled_whole(f.values)
-    norms = np.linalg.norm(values, axis=1)
+    norms = row_norms(values)
     mask = norms > 0.0
     if not np.any(mask):
         raise ValueError("function vanishes at every checked point; no constants to estimate")

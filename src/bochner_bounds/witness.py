@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
-from .hilbert import norm
+from .hilbert import norm, row_norms, row_sums
 from .hypotheses import Cone, Hypothesis, check, constraints, family_form, tag_of, window
 from .jsonio import dumps_csv
 
@@ -196,7 +196,7 @@ def _gen_window(
 def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Uniform samples from the unit ball of C^dim (as R^{2 dim})."""
     g = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    g /= np.linalg.norm(g, axis=1)[:, None]
+    g /= row_norms(g)[:, None]
     radii = rng.uniform(0.0, 1.0, count) ** (1.0 / (2 * dim))
     return g * radii[:, None]
 
@@ -245,7 +245,7 @@ def _gen_two_balls(seed: int, centres: np.ndarray, radii: np.ndarray, nodes: int
 
     def draw(batch):
         cand = c1 + r1 * _unit_ball(rng, batch, c1.size)
-        return cand, np.linalg.norm(cand - c2, axis=1) <= r2
+        return cand, row_norms(cand - c2) <= r2
 
     return _rejection(draw, nodes)
 
@@ -277,15 +277,15 @@ def _gen_soc(
     def draw(batch):
         a = rng.uniform(lows_re[None, :], 1.0, size=(batch, n))
         b = rng.uniform(lows_im[None, :], 1.0, size=(batch, n))
-        return a + 1j * b, np.sum(a * a + b * b, axis=1) <= 1.0
+        return a + 1j * b, row_sums(a * a + b * b) <= 1.0
 
     coeffs = _rejection(draw, nodes)
     vals = coeffs @ vectors
-    slack = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(coeffs) ** 2, axis=1)))
+    slack = np.sqrt(np.maximum(0.0, 1.0 - row_sums(np.abs(coeffs) ** 2)))
     if dim > n:
         g = rng.normal(size=(nodes, dim)) + 1j * rng.normal(size=(nodes, dim))
         g -= (g @ vectors.conj().T) @ vectors
-        nrm = np.linalg.norm(g, axis=1)
+        nrm = row_norms(g)
         nrm[nrm == 0] = 1.0
         g /= nrm[:, None]
         vals = vals + (slack * rng.uniform(0.0, 1.0, nodes))[:, None] * g
@@ -299,7 +299,7 @@ def _gen_inner_ball(seed: int, centers: np.ndarray, radii: np.ndarray, nodes: in
     of positive radius exists there.
     """
     v = np.mean(centers, axis=0)
-    slack = radii - np.linalg.norm(centers - v, axis=1)
+    slack = radii - row_norms(centers - v)
     delta = float(np.min(slack))
     if delta <= 0.0:
         raise ValueError(

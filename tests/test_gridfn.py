@@ -78,6 +78,12 @@ def test_nodes_must_increase():
         GridFunction(Interval(0, 1), [0.0, 0.6, 0.5, 1.0], np.ones((4, 1), dtype=complex))
 
 
+def test_values_need_at_least_one_component():
+    # the wire form refuses d = 0 too; without this check integrate_norm met an empty maximum
+    with pytest.raises(ValueError, match="^values: .*d >= 1"):
+        GridFunction(Interval(0, 1), [0.0, 1.0], np.zeros((2, 0), dtype=complex))
+
+
 def test_end_nodes_must_equal_the_interval_ends():
     ones = np.ones((3, 1), dtype=complex)
     GridFunction(Interval(-1, 1), [-1.0, 0.0, 1.0], ones)

@@ -12,6 +12,10 @@ from bochner_bounds.hilbert import (
     check_orthonormal,
     inner,
     norm,
+    pow2_scaled,
+    pow2_scaled_whole,
+    row_norms,
+    row_sums,
     span_projection,
 )
 
@@ -138,8 +142,8 @@ def test_cauchy_schwarz(pair):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 8), st.integers(0, 2 ** 31), st.data())
-def test_bessel_nonnegative_and_matches_projection_residual(d, seed, data):
+@given(st.integers(1, 8), st.integers(0, 2 ** 31), st.booleans(), st.data())
+def test_bessel_nonnegative_and_matches_projection_residual(d, seed, in_span, data):
     n = data.draw(st.integers(1, d))
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
@@ -147,7 +151,81 @@ def test_bessel_nonnegative_and_matches_projection_residual(d, seed, data):
     fam = check_orthonormal(q.T[:n], tol=1e-10)
     assert isinstance(fam, OrthonormalFamily)
     x = data.draw(cvec(d=d))
+    if in_span:  # the defect is 0 up to rounding here, and must not come out negative
+        x = span_projection(x, fam)
     defect = bessel_defect(x, fam)
-    assert defect >= -1e-10
+    assert defect >= 0
     residual = norm(np.asarray(x) - span_projection(x, fam)) ** 2
     assert defect == pytest.approx(residual, abs=1e-10)
+
+
+# Row kernels: numpy's own reductions along axis -1 are the reference, bit for bit.
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _rows(rng, rows: int, width: int, complex_: bool) -> np.ndarray:
+    """Rows with spread magnitudes, some of them zero or near 2^-1000 and 2^1000."""
+    def part():
+        return np.ldexp(rng.normal(size=(rows, width)), rng.integers(-40, 1, size=(rows, width)))
+
+    x = part() + 1j * part() if complex_ else part()
+    pick = rng.random(rows)
+    x[pick < 0.05] = 0.0
+    x[(0.05 <= pick) & (pick < 0.1)] = -0.0
+    x[(0.1 <= pick) & (pick < 0.15)] *= 2.0 ** -1000
+    x[(0.15 <= pick) & (pick < 0.2)] *= 2.0 ** 1000  # squares overflow, sums do not
+    return x
+
+
+# below, at and above the row count where the kernels switch from numpy's loop
+ROW_COUNTS = (0, 1, 17, 255, 256, 300)
+
+
+@pytest.mark.parametrize("width", range(1, 141))
+def test_row_kernels_are_numpys_axis_reductions_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for rows in ROW_COUNTS:
+        for complex_ in (False, True):
+            x = _rows(rng, rows, width, complex_)
+            with np.errstate(over="ignore"):  # inf on both sides
+                assert np.array_equal(_bits(row_norms(x)), _bits(np.linalg.norm(x, axis=-1))), rows
+            if not complex_:
+                assert np.array_equal(_bits(row_sums(x)), _bits(np.add.reduce(x, axis=-1))), rows
+
+
+@settings(max_examples=40)
+@given(st.integers(256, 700), st.integers(0, 300), st.integers(0, 2 ** 31))
+def test_row_sums_of_signed_zeros_and_wide_rows(rows, width, seed):
+    rng = np.random.default_rng(seed)
+    s = _rows(rng, rows, width, False)
+    s[rng.random(rows) < 0.2] = -0.0  # a row of -0.0 sums to +0.0
+    assert np.array_equal(_bits(row_sums(s)), _bits(np.add.reduce(s, axis=-1)))
+    assert np.array_equal(_bits(row_sums(s[:, ::-1])), _bits(np.add.reduce(s[:, ::-1], axis=-1)))
+
+
+def _reference_pow2_scaled(*arrays):
+    views = [np.ascontiguousarray(x, dtype=complex).view(float) for x in arrays]
+    peak = np.abs(views[0]).max(axis=-1, keepdims=True)
+    for v in views[1:]:
+        peak = np.maximum(peak, np.abs(v).max(axis=-1, keepdims=True))
+    exp = np.frexp(peak)[1]
+    return [np.ldexp(v, -exp).view(complex) for v in views], exp[..., 0]
+
+
+@pytest.mark.parametrize("rows", (1, 17, 300))
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 8))
+def test_pow2_scaled_takes_the_frexp_of_each_rows_peak(rows, d):
+    rng = np.random.default_rng(100 * rows + d)
+    a, b = _rows(rng, rows, d, True), _rows(rng, rows, d, True)
+    for arrays in ((a, b), (a, b[0])):  # two sets of rows, and rows against one vector
+        (sa, sb), exp = pow2_scaled(*arrays)
+        (ra, rb), rexp = _reference_pow2_scaled(*arrays)
+        assert np.array_equal(exp, rexp)
+        assert np.array_equal(_bits(sa.view(float)), _bits(ra.view(float)))
+        assert np.array_equal(_bits(sb.view(float)), _bits(rb.view(float)))
+    scaled, exp = pow2_scaled_whole(a)
+    assert exp == np.frexp(np.abs(a.view(float)).max())[1]
+    assert scaled.shape == a.shape
+    assert np.array_equal(_bits(scaled.view(float)), _bits(np.ldexp(a.view(float), -exp)))

@@ -3,10 +3,13 @@
 Each case is an exit status and the bytes a report renders to, so a
 refactor that must keep report bytes can be checked against these digests.
 ``certify`` and ``integrate`` are pinned under the default rule and under
-both rules on the nodes.  They pin the bytes this numpy/BLAS build writes:
-the integrals are BLAS sums, whose order may differ on another CPU or BLAS.
-They hold until ROADMAP item 3 lands fixed-order sums, which is expected to
-move the last bits of some reports.
+both rules on the nodes.  They pin the bytes that one CPU with one numpy
+and BLAS build writes: the integrals are BLAS sums, whose order may differ
+on another CPU or BLAS build, and on long inputs with the BLAS thread count
+(the bundled inputs have at most 257 nodes).  Row sums and norms follow
+numpy's order through the row kernels of ``hilbert``.  The digests hold
+until ROADMAP item 3 lands fixed-order sums, which is expected to move the
+last bits of some reports.
 """
 
 import hashlib
