@@ -6,10 +6,12 @@ sum(u_j * conj(v_j))``, so that ``Re inner(f, 1j*e) == Im inner(f, e)``.
 
 The row kernels :func:`row_sums`, :func:`row_norms` and the per-row peak of
 :func:`pow2_scaled` are the one place that fixes the order in which the
-entries of a row are combined.  Every short-axis row reduction of the
-package goes through them.  They give numpy's own ``axis=-1`` reductions
-bit for bit, but as a few passes over whole columns instead of one numpy
-inner loop per row of 2-16 floats.
+entries of a row are combined.  The short-axis row reductions of the
+package go through them, except two in :mod:`~bochner_bounds.hypotheses`:
+the cone norms of ``_slacks`` (an ``einsum``) and the complex row sums of
+``mforms_agree``.  They give numpy's own ``axis=-1`` reductions bit for
+bit, but as a few passes over whole columns instead of one numpy inner
+loop per row of 2-8 floats.
 """
 
 from __future__ import annotations
@@ -58,45 +60,30 @@ _FEW_ROWS = 256  # fewer rows than this: numpy's per-row loops beat one pass per
 def row_sums(s) -> np.ndarray:
     """Sum of each row of the real 2-D array ``s``: ``np.add.reduce(s, axis=-1)`` bit for bit.
 
-    numpy adds to 0.0 the pairwise sum of a row of n entries: left to right
-    for n < 8; for 8 <= n <= 128 eight interleaved partial sums r_0..r_7,
-    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the last n % 8
-    entries left to right; above 128 the sum of its two parts split at n/2,
-    rounded down to a multiple of 8.  This takes the same order with one
-    vectorized pass per column, where numpy runs one inner loop per row.
-    Below 256 rows those inner loops cost less than the passes, so
-    numpy's own reduction is taken.
+    Where a row's entries lie nearer each other in memory than its rows
+    (C order, or a view of it such as ``.real``), numpy adds to 0.0 the
+    pairwise sum of each row: left to right for fewer than 8 entries, and
+    ``((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7))`` for 8.  Otherwise (Fortran
+    order) it adds the columns to 0.0 left to right.  Rows of up to 8
+    entries are summed here in the same order with one vectorized pass per
+    column, where numpy runs one inner loop per row.  Fewer than
+    ``_FEW_ROWS`` rows, where those inner loops cost less, and rows of more
+    than 8 entries (the package's widest are d = 4 complex entries as 8
+    floats) go to numpy.
     """
     s = np.asarray(s)
-    if len(s) < _FEW_ROWS:
+    rows, n = s.shape
+    if rows < _FEW_ROWS or n > 8:
         return np.add.reduce(s, axis=1)
-    if s.shape[1] < 8:  # left to right from 0.0
-        total = np.zeros(len(s))
+    if n < 8 or abs(s.strides[0]) < abs(s.strides[1]):  # left to right from 0.0
+        total = np.zeros(rows)
         for col in s.T:
             total += col
         return total
-    total = _pairwise_sums(s)
-    total += 0.0  # a row of -0.0 sums to 0.0
-    return total
-
-
-def _pairwise_sums(s: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of each row of ``s``, for rows of at least 8 entries."""
-    n = s.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sums(s[:, :half]) + _pairwise_sums(s[:, half:])
-    blocks = n - n % 8
-    r = s[:, :8].T  # row j: the partial sum r_j of columns j, j + 8, j + 16, ...
-    if blocks > 8:
-        r = np.add(r, s[:, 8:16].T, order="C")
-        for j in range(16, blocks, 8):
-            r += s[:, j:j + 8].T
-    pairs = np.add(r[0::2], r[1::2], order="C")  # r0+r1, r2+r3, r4+r5, r6+r7
+    pairs = np.add(s[:, 0::2].T, s[:, 1::2].T, order="C")  # c0+c1, c2+c3, c4+c5, c6+c7
     pairs[0::2] += pairs[1::2]
     total = pairs[0] + pairs[2]
-    for j in range(blocks, n):
-        total += s[:, j]
+    total += 0.0  # a row of -0.0 sums to 0.0
     return total
 
 
