@@ -10,7 +10,7 @@ re-render of a 1e4-node witness, and a nonnegative triangle slack from
 ``--quad-refine 1``, and on a tiny ramp and a constant 1e308 function,
 ``linear`` and ``constleft``, under the default rule and both rules on the
 nodes, with no warning on stderr.  It also checks that ``check`` and ``certify``
-exit 2 on five functions that break their class only at a tiny scale, or
+exit 2 on six functions that break their class only at a tiny scale, or
 only where they are tiny next to their largest value, that
 ``check`` reads exactly the nodes of every bundled function, and that a
 usage error and a flag the subcommand does not read exit 1.  Any traceback on stderr counts
@@ -278,6 +278,8 @@ def main() -> int:
              {"type": "cone", "phi1": 0.1, "phi2": 0.5}, [0, 1e-9, 1], tail, "constleft"),
             ("1 then -1e-10 under k_cond, K = 1", {"type": "k_cond", "e": [[1, 0]], "K": 1},
              [0, 1e-9, 1], [[[1, 0]], [[-1e-10, 0]], [[-1e-10, 0]]], "constleft"),
+            ("1e150 then -1e-150 under k_cond, K = 1", {"type": "k_cond", "e": [[1, 0]], "K": 1},
+             [0, 0.5, 1], [[[1e150, 0]], [[-1e-150, 0]], [[-1e-150, 0]]], "linear"),
         ):
             path = tmpdir / "tiny.json"
             path.write_text(

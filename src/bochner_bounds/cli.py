@@ -146,7 +146,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         from .witness import WitnessSpec, make_witness
 
         h = _hypothesis_from(doc)
-        interval = _interval_from(doc.get("interval"), default=Interval(0.0, 1.0))
+        interval = _interval_from(doc, "interval")
         node_count = _node_count(doc, "node_count", 33)
         w = make_witness(WitnessSpec(hypothesis=h, interval=interval, node_count=node_count))
         out = {
@@ -162,14 +162,14 @@ def run(config: RunConfig) -> tuple[int, dict]:
     gen = doc.get("generator", {})
     if not isinstance(gen, dict):
         raise SchemaError("generator: must be an object")
-    family = FamilySpec(
-        hypothesis=h,
-        seed=config.seed,
-        nodes=_node_count(gen, "generator.nodes", 17),
-        interval=_interval_from(gen.get("interval"), default=Interval(0.0, 1.0)),
-        rmin=_number(gen.get("rmin", 0.5), "generator.rmin"),
-        rmax=_number(gen.get("rmax", 1.5), "generator.rmax"),
-    )
+    nodes = _node_count(gen, "generator.nodes", 17)
+    interval = _interval_from(gen, "generator.interval")
+    rmin = _number(gen.get("rmin", 0.5), "generator.rmin")
+    rmax = _number(gen.get("rmax", 1.5), "generator.rmax")
+    try:
+        family = FamilySpec(h, config.seed, nodes, interval, rmin, rmax)
+    except ValueError as exc:  # a refusal of rmin and rmax together
+        raise SchemaError(f"generator: {exc}") from exc
     stats = tightness(config.trials, family, h, config.quad)
     out = {"schema": SCHEMA, "kind": "tightness_stats"}
     out.update(stats_to_dict(stats))
@@ -192,12 +192,18 @@ def _number(raw, field: str) -> float:
         raise SchemaError(f"{field}: {exc}") from exc
 
 
-def _interval_from(d, default: Interval) -> Interval:
+def _interval_from(parent: dict, field: str) -> Interval:
+    """``parent``'s interval at ``field``'s last key, [0, 1] if absent; refusals name ``field``."""
+    d = parent.get(field.rsplit(".", 1)[-1])
     if d is None:
-        return default
+        return Interval(0.0, 1.0)
     if not (isinstance(d, dict) and "a" in d and "b" in d):
-        raise SchemaError("interval: expected an object with fields a, b")
-    return Interval(_number(d["a"], "interval.a"), _number(d["b"], "interval.b"))
+        raise SchemaError(f"{field}: expected an object with fields a, b")
+    a, b = _number(d["a"], f"{field}.a"), _number(d["b"], f"{field}.b")
+    try:
+        return Interval(a, b)
+    except ValueError as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
 
 
 _TABLE_NUMBERS = ("coefficient", "lower_bound", "true_norm", "gap")

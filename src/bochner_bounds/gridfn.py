@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import pow2_scaled, pow2_scaled_whole, row_norms, row_sums
+from .hilbert import pow2_scaled, row_norms, row_sums
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -262,16 +262,16 @@ def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np
 def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Integral of ||f(t)|| under ``rule``; nonnegative.
 
-    No square of a value under- or overflows: the rules on the nodes scale
-    all node values by one power of two, the model rule each panel.
+    No square under- or overflows: each node (rules on the nodes) or panel
+    (the model rule) is scaled by its own power of two, :func:`~.hilbert.pow2_scaled`.
     """
     method = _method(f, rule)
     if method == "model":
         return float(np.diff(f.nodes) @ panel_norm_integrals(f.values[:-1], f.values[1:]))
     w = _node_weights(f.nodes, method)
-    scaled, exp = pow2_scaled_whole(f.values[: w.size])
-    with np.errstate(over="ignore"):  # an integral past the float range is inf
-        return float(np.ldexp(w @ row_norms(scaled), exp))
+    (scaled,), exp = pow2_scaled(f.values[: w.size])
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(w @ np.ldexp(row_norms(scaled), exp))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:

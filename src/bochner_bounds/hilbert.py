@@ -4,6 +4,10 @@ Vectors are 1-D complex numpy arrays. The inner product is linear in the
 first slot and conjugate-linear in the second, i.e. ``inner(u, v) =
 sum(u_j * conj(v_j))``, so that ``Re inner(f, 1j*e) == Im inner(f, e)``.
 
+:func:`pow2_scaled` is the package's one scaling rule: every norm of a
+function value or an integral is of a row scaled by its own power of two,
+scaled back, which is exact in the normal range and keeps squares in range.
+
 The row kernels :func:`row_sums`, :func:`row_norms` and the per-row peak of
 :func:`pow2_scaled` are the one place that fixes the order in which the
 entries of a row are combined.  The short-axis row reductions of the
@@ -27,7 +31,6 @@ __all__ = [
     "row_sums",
     "row_norms",
     "pow2_scaled",
-    "pow2_scaled_whole",
     "OrthonormalFamily",
     "GramViolation",
     "check_orthonormal",
@@ -120,26 +123,14 @@ def _row_peaks(v: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(v, order="F"), axis=-1, keepdims=True)
 
 
-def pow2_scaled_whole(x) -> tuple[np.ndarray, int]:
-    """All of ``x`` scaled by one power of two 2^-e: :func:`pow2_scaled` of x as one row.
-
-    The scaling is exact for every entry within 2^1021 of the largest, so
-    ratios of such entries stay as they are.  Returns (scaled array of x's
-    shape, e).
-    """
-    v = np.ascontiguousarray(x, dtype=complex).view(float)
-    exp = int(np.frexp(np.abs(v).max())[1])
-    return np.ldexp(v, -exp).view(complex), exp
-
-
 def norm(u) -> float:
     """Euclidean norm sqrt(inner(u, u).real), with no squares that under- or overflow.
 
-    ``np.linalg.norm`` of u scaled by :func:`pow2_scaled_whole`, scaled back: its
-    bits times a power of two, so ``np.linalg.norm(u)`` bit for bit where
-    no square of an entry of u under- or overflows.
+    ``np.linalg.norm`` of u scaled by :func:`pow2_scaled` as one row, scaled
+    back: its bits times a power of two, so ``np.linalg.norm(u)`` bit for
+    bit where no square of an entry of u under- or overflows.
     """
-    scaled, exp = pow2_scaled_whole(as_vector(u))
+    (scaled,), exp = pow2_scaled(as_vector(u))
     with np.errstate(over="ignore"):  # a norm past the float range is inf
         return float(np.ldexp(np.linalg.norm(scaled), exp))
 

@@ -29,11 +29,11 @@ The slack of each kind (negative slack = violated point) is
   node's own norm for ``constleft``.  A node takes the least slack over the
   panels that touch it, and slack 0 where S = 0.  So a cone margin is
   relative, even where f is small next to its largest value, and unchanged
-  by f -> 2^k f.  The values are first scaled by one power of two, so the
-  largest node norm neither under- nor overflows;
+  by f -> 2^k f;
 * ball: ``r - ||f - c||``, in absolute units, as the centre fixes the scale.
 
-A node where f(t) = 0 has cone slack 0.
+A node where f(t) = 0 has cone slack 0.  Every norm is of a row scaled by its
+own power of two, the package's one rule (:func:`~.hilbert.pow2_scaled`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled, pow2_scaled_whole, row_norms
+from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled, row_norms
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -365,42 +365,44 @@ class ConditionReport:
 def _ball_slacks(values: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     """r_j - ||f(t) - c_j||, one array per ball; finite wherever ||f(t) - c_j|| < 2^1024.
 
-    Rows whose raw norm overflows are measured again scaled by their own power of two.
+    Each row and its copies of the centres are scaled by one power of two
+    (:func:`~bochner_bounds.hilbert.pow2_scaled`), so no square of a
+    difference under- or overflows.
     """
-    diff = np.empty_like(values)  # reused: a fresh difference per ball doubles the time
-    slacks = []
-    for c, r in zip(centres, radii):
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = row_norms(np.subtract(values, c, out=diff))
-            big = ~np.isfinite(dist)
-            if big.any():
-                (v, cs), exp = pow2_scaled(values[big], c)
-                dist[big] = np.ldexp(row_norms(v - cs), exp)
-        slacks.append(r - dist)
-    return slacks
+    (x, *scaled_centres), exp = pow2_scaled(values, *centres)
+    diff = np.empty_like(x)  # reused: a fresh difference per ball doubles the time
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        return [r - np.ldexp(row_norms(np.subtract(x, c, out=diff)), exp)
+                for c, r in zip(scaled_centres, radii)]
 
 
-def _panel_sups(norms: np.ndarray, interpolation: str) -> tuple[np.ndarray, ...]:
-    """Per node, the sup norm of the model on each panel that touches it.
+def _panel_sups(norms: np.ndarray, exp: np.ndarray, interpolation: str) -> tuple[np.ndarray, ...]:
+    """Per node, the sup norm of the model on each panel that touches it, in the node's scale.
 
-    A linear panel's sup norm is its larger end norm, as the norm is convex
-    along a segment; a constleft panel holds its left node's value.
+    Node k's norm is ``norms[k]`` times 2^exp[k].  A linear panel's sup
+    norm is its larger end norm, as the norm is convex along a segment; a
+    constleft panel holds its left node's value.
     """
     if interpolation == "constleft":
         return (norms,)
-    ends = np.maximum(norms[:-1], norms[1:])
-    return np.concatenate([ends[:1], ends]), np.concatenate([ends, ends[-1:]])
+    step = exp[1:] - exp[:-1]
+    with np.errstate(over="ignore"):  # an end past the float range in the other end's scale
+        on_left = np.maximum(norms[1:], np.ldexp(norms[:-1], -step))  # panel (k-1, k) at node k
+        on_right = np.maximum(norms[:-1], np.ldexp(norms[1:], step))  # panel (k, k+1) at node k
+    return np.concatenate([on_right[:1], on_left]), np.concatenate([on_right, on_left[-1:]])
 
 
 def _slacks(values: np.ndarray, h: Hypothesis, interpolation: str = "linear") -> np.ndarray:
-    """Per-node slack: the least over the cone and ball constraints of ``h``."""
+    """Per-node slack: the least over the cone and ball constraints of ``h``.
+
+    Each row is scaled by its own power of two; a cone slack, homogeneous, is
+    measured in its node's scale, with the panel's other end brought into it.
+    """
     (cones, ks), (centres, radii) = constraints(h)
     slack = np.inf
     if ks.size:
-        # cone slacks are homogeneous: scaling the whole array by one exact
-        # power of two leaves them as they are, and keeps the squares in the
-        # norms from under- or overflowing
-        x = pow2_scaled_whole(values)[0].view(float)  # C^d as R^2d
+        (scaled,), exp = pow2_scaled(values)
+        x = scaled.view(float)  # C^d as R^2d
         norms = np.sqrt(np.einsum("ij,ij->i", x, x))
         cone = np.full(len(x), np.inf)
         for c, k in zip(cones.view(float), ks):
@@ -409,7 +411,7 @@ def _slacks(values: np.ndarray, h: Hypothesis, interpolation: str = "linear") ->
             np.minimum(cone, re, out=cone)
         # a zero sup means f = 0 on the panel, where the slack is 0
         slack = np.minimum.reduce([np.divide(cone, sup, out=np.zeros_like(cone), where=sup > 0.0)
-                                   for sup in _panel_sups(norms, interpolation)])
+                                   for sup in _panel_sups(norms, exp, interpolation)])
     if radii.size:
         slack = np.minimum(slack, np.minimum.reduce(_ball_slacks(values, centres, radii)))
     return slack
@@ -432,7 +434,7 @@ def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> Con
     slack = _slacks(f.values, h, f.interpolation)
     worst = int(np.argmin(slack))
     worst_margin = float(slack[worst])
-    if not math.isfinite(worst_margin):  # ball distances overflow for values above ~1e154
+    if not math.isfinite(worst_margin):  # a ball distance past the float range
         raise ValueError(f"worst_margin: non-finite slack {worst_margin!r}; "
                          "the node values are too large to check")
     return ConditionReport(
@@ -468,9 +470,9 @@ def _least_cosines(f: GridFunction, rows: np.ndarray) -> np.ndarray:
 
     Raises if there are no such nodes.
     """
-    # ratios: one exact power-of-two scale of the whole array leaves them as
-    # they are, and keeps the norms' squares in range
-    values, _ = pow2_scaled_whole(f.values)
+    # ratios: scaling each row by its own power of two leaves them as they
+    # are, and keeps the norms' squares in range
+    (values,), _ = pow2_scaled(f.values)
     norms = row_norms(values)
     mask = norms > 0.0
     if not np.any(mask):

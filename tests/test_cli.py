@@ -142,6 +142,15 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     cases.append((dict(witness_request, node_count=33, interval={"a": huge, "b": 1}),
                   ("witness",), "interval.a"))
     cases.append((dict(bench_request, generator={"rmax": huge}), ("bench",), "generator.rmax"))
+    # refusals of the interval and the generator as a whole name them too
+    cases.append((dict(bench_request, generator={"interval": {"a": "x", "b": 1}}), ("bench",),
+                  "error: generator.interval.a: "))
+    cases.append((dict(bench_request, generator={"interval": {"a": 1, "b": 0}}), ("bench",),
+                  "error: generator.interval: "))
+    cases.append((dict(witness_request, node_count=33, interval={"a": 1, "b": 0}), ("witness",),
+                  "error: interval: "))
+    cases.append((dict(bench_request, generator={"rmin": 2.0, "rmax": 1.0}), ("bench",),
+                  "error: generator: "))
     for i, (doc, commands, field) in enumerate(cases):
         path = tmp_path / f"doc{i}.json"
         path.write_text(json.dumps(doc).replace("Infinity", "1e999"), encoding="utf-8")
@@ -158,8 +167,9 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
 
 
 def test_finite_documents_far_outside_their_disks_exit_2(tmp_path, capsys):
-    # the raw distances to the ball centres overflow to inf; those rows are
-    # measured again scaled, so the slack is finite and no warning is raised
+    # the raw squares of the distances to the ball centres overflow; each row
+    # is measured at its own power-of-two scale, so the slack is finite and no
+    # warning is raised
     disk = {"type": "disk", "e": [[1, 0]], "eta1": 0.9, "eta2": 0.9}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -254,6 +264,12 @@ def test_cone_checks_are_scale_free(tmp_path, capsys):
     tails.append(_small_tail_doc(1 + 0j, {"type": "k_cond", "e": [[1, 0]], "K": 1.0}))
     docs = [("kcond.json", kcond), ("ramp.json", ramp), ("kcond_170.json", kcond_170)]
     docs += [(f"tail_{i}.json", doc) for i, doc in enumerate(tails)]
+    # node values 300 decades apart: each node is measured at its own scale
+    for interp in ("constleft", "linear"):
+        wide = json.loads(json.dumps(kcond))
+        wide["function"].update(values=[[[1e150, 0.0]], [[-1e-150, 0.0]], [[-1e-150, 0.0]]],
+                                interp=interp)
+        docs.append((f"wide_{interp}.json", wide))
     for name, doc in docs:
         path = write_doc(tmp_path, name, doc)
         assert main(["check", "--input", path]) == 2, name
@@ -268,6 +284,10 @@ def test_cone_checks_are_scale_free(tmp_path, capsys):
             warnings.simplefilter("error")
             assert main([command, "--input", path]) == 0, command
         capsys.readouterr()
+    # a constant whose raw norm overflows, outside its class by the same margin as at norm 1
+    path = write_doc(tmp_path, "huge_out.json", constant_doc(1.7e308 + 1.7e308j, dict(hyp, k1=0.9)))
+    assert main(["check", "--input", path]) == 2
+    assert json.loads(capsys.readouterr().out)["worst_margin"] == -0.19289321881345245
 
 
 def _set_collecting(on: bool) -> None:

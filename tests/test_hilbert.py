@@ -13,7 +13,6 @@ from bochner_bounds.hilbert import (
     inner,
     norm,
     pow2_scaled,
-    pow2_scaled_whole,
     row_norms,
     row_sums,
     span_projection,
@@ -233,7 +232,7 @@ def test_pow2_scaled_takes_the_frexp_of_each_rows_peak(rows, d):
         assert np.array_equal(exp, rexp)
         assert np.array_equal(_bits(sa.view(float)), _bits(ra.view(float)))
         assert np.array_equal(_bits(sb.view(float)), _bits(rb.view(float)))
-    scaled, exp = pow2_scaled_whole(a)
-    assert exp == np.frexp(np.abs(a.view(float)).max())[1]
-    assert scaled.shape == a.shape
-    assert np.array_equal(_bits(scaled.view(float)), _bits(np.ldexp(a.view(float), -exp)))
+    whole = a.ravel()  # a 1-D array is one row: all of it at one scale
+    (scaled,), exp = pow2_scaled(whole)
+    assert exp == np.frexp(np.abs(whole.view(float)).max())[1]
+    assert np.array_equal(_bits(scaled.view(float)), _bits(np.ldexp(whole.view(float), -exp)))

@@ -243,6 +243,13 @@ def test_estimators_of_a_constant_whose_squares_underflow():
         assert estimate_K(f, E1) == estimate_K(normal, E1)
 
 
+def test_estimators_see_a_node_400_decades_below_the_largest():
+    # the middle node has Re<f, e> = 0 and Im<f, e> = -||f||: no k2 >= 0 and no finite K fit
+    f = GridFunction(Interval(0, 1), np.linspace(0, 1, 3), np.array([[1e200], [-1e-200j], [1e200]]))
+    assert estimate_unit_vector(f, E1) is None
+    assert estimate_K(f, E1) is None
+
+
 def test_disk_to_k_values():
     assert disk_to_k(0.6) == pytest.approx(0.8)
     assert disk_to_k(1e-9) == pytest.approx(1.0)
@@ -571,7 +578,7 @@ def test_hypothesis_from_dict_errors_name_fields():
         hypothesis_from_dict({"type": "k_cond", "e": [[1, 0]], "K": [2]})
 
 
-def test_ball_slacks_rescale_only_the_rows_that_overflow():
+def test_ball_slacks_scale_each_row_by_its_own_power_of_two():
     values = np.array([[0.3 + 0.4j], [1e308 + 1e308j], [-2.0 + 0j]])
     centres, radii = constraints(Disk(E1, 0.9, 0.9))[1]
     with np.errstate(all="raise"):
