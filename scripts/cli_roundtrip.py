@@ -130,7 +130,7 @@ def main() -> int:
                         "hypothesis": {"type": "k_cond", "e": [[1, 0]], "K": [2]}}),
             encoding="utf-8",
         )
-        for path, field in ((nan_doc, "values"), (wrong_type, "hypothesis.K")):
+        for path, field in ((nan_doc, "values"), (wrong_type, "hypothesis: K")):
             for command in ("check", "certify"):
                 r = run(command, "--input", str(path))
                 good &= expect(
@@ -188,12 +188,12 @@ def main() -> int:
                     and "Traceback" not in r.stderr,
                     r.stderr.strip().splitlines()[-1] if r.stderr.strip() else "",
                 )
-        for fields, command, field in (
-            ({"hypothesis": dict(hyp, k1=huge)}, "check", "hypothesis.k1"),
-            ({"hypothesis": dict(hyp, e=[[huge, 0]])}, "check", "hypothesis.e"),
+        for i, (fields, command, field) in enumerate((
+            ({"hypothesis": dict(hyp, k1=huge)}, "check", "hypothesis: k1"),
+            ({"hypothesis": dict(hyp, e=[[huge, 0]])}, "check", "hypothesis: e"),
             ({"hypothesis": hyp, "interval": {"a": huge, "b": 1}}, "witness", "interval.a"),
-        ):
-            path = tmpdir / f"overflow_{field}.json"
+        )):
+            path = tmpdir / f"overflow_{i}.json"
             path.write_text(
                 json.dumps({"schema": "bochner-bounds/1", "function": function, **fields}),
                 encoding="utf-8",

@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled CLI example inputs under inputs/."""
+"""Regenerate the bundled CLI example inputs.
+
+    python scripts/make_inputs.py [OUT_DIR]
+
+writes them to OUT_DIR (default: the repository's inputs/), byte for byte
+as they are checked in.
+"""
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import math
 import pathlib
@@ -17,7 +24,7 @@ from bochner_bounds.hypotheses import Cone, Disk, UnitVector, hypothesis_to_dict
 from bochner_bounds.jsonio import dumps
 
 SCHEMA = "bochner-bounds/1"
-OUT = pathlib.Path(__file__).resolve().parents[1] / "inputs"
+INPUTS = pathlib.Path(__file__).resolve().parents[1] / "inputs"
 
 
 def constant(value, n=9, a=0.0, b=1.0) -> GridFunction:
@@ -25,18 +32,23 @@ def constant(value, n=9, a=0.0, b=1.0) -> GridFunction:
     return GridFunction(Interval(a, b), np.linspace(a, b, n), vals)
 
 
-def write(name: str, doc: dict) -> None:
-    path = OUT / name
+def write(out: pathlib.Path, name: str, doc: dict) -> None:
+    path = out / name
     path.write_text(dumps(doc), encoding="utf-8")
     print(f"wrote {path}")
 
 
-def main() -> int:
-    OUT.mkdir(exist_ok=True)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", type=pathlib.Path, default=INPUTS,
+                        help="output directory (default: inputs/)")
+    out = parser.parse_args(argv).out
+    out.mkdir(exist_ok=True)
     e = np.array([1.0 + 0j])
 
     arc = sample(lambda t: cmath.exp(1j * t), Interval(math.pi / 6, math.pi / 3), 257)
     write(
+        out,
         "cone_pi6_pi3.json",
         {
             "schema": SCHEMA,
@@ -46,6 +58,7 @@ def main() -> int:
     )
 
     write(
+        out,
         "disk_lens.json",
         {
             "schema": SCHEMA,
@@ -55,6 +68,7 @@ def main() -> int:
     )
 
     write(
+        out,
         "witness_unit_vector.json",
         {
             "schema": SCHEMA,
@@ -65,6 +79,7 @@ def main() -> int:
     )
 
     write(
+        out,
         "failing_unit_vector.json",
         {
             "schema": SCHEMA,
@@ -74,6 +89,7 @@ def main() -> int:
     )
 
     write(
+        out,
         "bench_cone.json",
         {
             "schema": SCHEMA,

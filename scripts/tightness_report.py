@@ -11,6 +11,7 @@ import argparse
 import math
 import pathlib
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from bochner_bounds.hypotheses import (
     UnitVector,
     tag_of,
 )
-from bochner_bounds.witness import FamilySpec, stats_to_csv, tightness
+from bochner_bounds.jsonio import dumps_csv
+from bochner_bounds.witness import FamilySpec, tightness
 
 E1 = np.array([1.0 + 0j])
 E2 = np.eye(2, dtype=complex)
@@ -80,7 +82,7 @@ def main() -> int:
                 str(stats.violations),
             )
         )
-        csv_lines.append(label + "," + stats_to_csv(stats).splitlines()[1])
+        csv_lines.append(label + "," + dumps_csv(asdict(stats)).splitlines()[1])
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:

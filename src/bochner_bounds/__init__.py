@@ -51,7 +51,6 @@ from .hypotheses import (
 _WITNESS_NAMES = (
     "FamilySpec",
     "TightnessStats",
-    "WitnessSpec",
     "generate",
     "make_witness",
     "perturb_scan",

@@ -40,7 +40,6 @@ from types import SimpleNamespace
 from .bounds import bound_report_to_dict, certify, equality_holds
 from .gridfn import (
     DEFAULT_RULE,
-    GridFunction,
     Interval,
     QuadratureRule,
     gridfunction_from_dict,
@@ -96,42 +95,34 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _function_from(doc: dict) -> GridFunction:
-    if "function" not in doc:
-        raise SchemaError("function: missing")
+def _section(doc: dict, key: str, decode):
+    """``decode(doc[key])``; a refusal names the section once, as ``key: ...``."""
+    if key not in doc:
+        raise SchemaError(f"{key}: missing")
     try:
-        return gridfunction_from_dict(doc["function"])
+        return decode(doc[key])
     except ValueError as exc:
-        raise SchemaError(f"function: {exc}") from exc
-
-
-def _hypothesis_from(doc: dict):
-    if "hypothesis" not in doc:
-        raise SchemaError("hypothesis: missing")
-    try:
-        return hypothesis_from_dict(doc["hypothesis"])
-    except ValueError as exc:
-        raise SchemaError(f"hypothesis: {exc}") from exc
+        raise SchemaError(f"{key}: {exc}") from exc
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one command; returns (exit_status, report_document)."""
     doc = _load_document(config.input_path)
     if config.command == "check":
-        f = _function_from(doc)
-        h = _hypothesis_from(doc)
+        f = _section(doc, "function", gridfunction_from_dict)
+        h = _section(doc, "hypothesis", hypothesis_from_dict)
         report = check(f, h, config.tol)
         return (0 if report.holds else 2), {"schema": SCHEMA, "kind": "condition_report",
                                             **asdict(report)}
     if config.command == "certify":
-        f = _function_from(doc)
-        h = _hypothesis_from(doc)
+        f = _section(doc, "function", gridfunction_from_dict)
+        h = _section(doc, "hypothesis", hypothesis_from_dict)
         report = certify(f, h, config.quad, config.tol)
         out = {"schema": SCHEMA, "kind": "bound_report"}
         out.update(bound_report_to_dict(report))
         return (0 if report.hypothesis_verified else 2), out
     if config.command == "integrate":
-        f = _function_from(doc)
+        f = _section(doc, "function", gridfunction_from_dict)
         vec = integrate_vector(f, config.quad)
         nrm = integrate_norm(f, config.quad)
         out = {
@@ -143,12 +134,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
         return 0, out
     if config.command == "witness":
-        from .witness import WitnessSpec, make_witness
+        from .witness import make_witness
 
-        h = _hypothesis_from(doc)
-        interval = _interval_from(doc, "interval")
-        node_count = _node_count(doc, "node_count", 33)
-        w = make_witness(WitnessSpec(hypothesis=h, interval=interval, node_count=node_count))
+        h = _section(doc, "hypothesis", hypothesis_from_dict)
+        w = make_witness(h, _interval_from(doc, "interval"), _node_count(doc, "node_count", 33))
         out = {
             "schema": SCHEMA,
             "function": gridfunction_to_dict(w),
@@ -156,9 +145,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
         return 0, out
     # bench
-    from .witness import FamilySpec, stats_to_dict, tightness
+    from .witness import FamilySpec, tightness
 
-    h = _hypothesis_from(doc)
+    h = _section(doc, "hypothesis", hypothesis_from_dict)
     gen = doc.get("generator", {})
     if not isinstance(gen, dict):
         raise SchemaError("generator: must be an object")
@@ -172,7 +161,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         raise SchemaError(f"generator: {exc}") from exc
     stats = tightness(config.trials, family, h, config.quad)
     out = {"schema": SCHEMA, "kind": "tightness_stats"}
-    out.update(stats_to_dict(stats))
+    out.update(asdict(stats))
     return (0 if stats.violations == 0 else 2), out
 
 

@@ -9,13 +9,21 @@ function value or an integral is of a row scaled by its own power of two,
 scaled back, which is exact in the normal range and keeps squares in range.
 
 The row kernels :func:`row_sums`, :func:`row_norms` and the per-row peak of
-:func:`pow2_scaled` are the one place that fixes the order in which the
-entries of a row are combined.  The short-axis row reductions of the
-package go through them, except two in :mod:`~bochner_bounds.hypotheses`:
-the cone norms of ``_slacks`` (an ``einsum``) and the complex row sums of
-``mforms_agree``.  They give numpy's own ``axis=-1`` reductions bit for
-bit, but as a few passes over whole columns instead of one numpy inner
-loop per row of 2-8 floats.
+:func:`pow2_exponents` are the one place that fixes the order in which the
+entries of a row are combined.  They give numpy's own ``axis=-1``
+reductions bit for bit, but as a few passes over whole columns instead of
+one numpy inner loop per row of 2-8 floats.  The short-axis row reductions
+of the package go through them, except four in
+:mod:`~bochner_bounds.hypotheses`:
+
+* in ``_slacks``, the cone norms (an ``einsum``) and the projections
+  ``x @ c`` (a BLAS dot);
+* in ``mforms_agree``, the complex row sums (``np.sum``);
+* in ``_least_cosines``, the projections on the rows (a BLAS product).
+
+The two BLAS reductions take the summation order of the BLAS kernel in
+use, so their last bits may differ with the CPU, the BLAS build and its
+thread count (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ __all__ = [
     "norm",
     "row_sums",
     "row_norms",
+    "pow2_exponents",
     "pow2_scaled",
     "OrthonormalFamily",
     "GramViolation",
@@ -101,26 +110,37 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt(row_sums(squares))
 
 
-def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
-    """Scale row k of every complex array by one power of two 2^-e_k, exactly.
+def pow2_exponents(*arrays) -> np.ndarray:
+    """Per row k, the e_k putting the largest |Re| or |Im| of row k, over all ``arrays``, in [0.5, 1).
 
-    e_k puts the largest |Re| or |Im| of row k, over all ``arrays``, in
-    [0.5, 1) (e_k = 0 for a zero row), so no square of a scaled entry
-    under- or overflows, and a norm of scaled rows times 2^e_k is the norm
-    of the rows.  A 1-D array is one row.  Returns (scaled arrays, e).
+    e_k = 0 for a zero row, and a 1-D array is one row.  This is the one
+    place that picks the scale.  Returns e as a column, as ``np.ldexp`` takes it.
     """
-    views = [np.ascontiguousarray(x, dtype=complex).view(float) for x in arrays]
-    peak = _row_peaks(views[0])
-    for v in views[1:]:
-        np.maximum(peak, _row_peaks(v), out=peak)
-    exp = np.frexp(peak)[1]
-    return [np.ldexp(v, -exp).view(complex) for v in views], exp[..., 0]
+    peak = _row_peaks(arrays[0])
+    for x in arrays[1:]:
+        np.maximum(peak, _row_peaks(x), out=peak)
+    return np.frexp(peak)[1]
 
 
-def _row_peaks(v: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each row of the float array ``v``, kept as a column."""
+def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
+    """Scale row k of every complex array by 2^-e_k (:func:`pow2_exponents`), exactly.
+
+    No square of a scaled entry under- or overflows, and a norm of scaled
+    rows times 2^e_k is the norm of the rows.  Returns (scaled arrays, e).
+    """
+    exp = pow2_exponents(*arrays)
+    return [np.ldexp(_floats(x), -exp).view(complex) for x in arrays], exp[..., 0]
+
+
+def _floats(x) -> np.ndarray:
+    """``x`` as a contiguous complex array viewed as floats, C^d as R^2d."""
+    return np.ascontiguousarray(x, dtype=complex).view(float)
+
+
+def _row_peaks(x) -> np.ndarray:
+    """Largest |Re| or |Im| of each row of the complex array ``x``, kept as a column."""
     # column-major, the maximum runs over whole columns
-    return np.maximum.reduce(np.abs(v, order="F"), axis=-1, keepdims=True)
+    return np.maximum.reduce(np.abs(_floats(x), order="F"), axis=-1, keepdims=True)
 
 
 def norm(u) -> float:

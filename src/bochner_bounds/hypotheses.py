@@ -44,7 +44,7 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm, pow2_scaled, row_norms
+from .hilbert import OrthonormalFamily, as_vector, norm, pow2_exponents, pow2_scaled, row_norms
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -365,15 +365,21 @@ class ConditionReport:
 def _ball_slacks(values: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     """r_j - ||f(t) - c_j||, one array per ball; finite wherever ||f(t) - c_j|| < 2^1024.
 
-    Each row and its copies of the centres are scaled by one power of two
-    (:func:`~bochner_bounds.hilbert.pow2_scaled`), so no square of a
-    difference under- or overflows.
+    Each row and each centre are scaled by the row's power of two, taken over
+    the row and all centres (:func:`~bochner_bounds.hilbert.pow2_exponents`),
+    so no square of a difference under- or overflows.  The centres are
+    scaled one at a time, so memory does not grow with their number.
     """
-    (x, *scaled_centres), exp = pow2_scaled(values, *centres)
+    exp = pow2_exponents(values, *centres)
+    shift = -exp
+    x = np.ldexp(np.ascontiguousarray(values, dtype=complex).view(float), shift)
     diff = np.empty_like(x)  # reused: a fresh difference per ball doubles the time
+    slacks = []
     with np.errstate(over="ignore"):  # a distance past the float range is inf
-        return [r - np.ldexp(row_norms(np.subtract(x, c, out=diff)), exp)
-                for c, r in zip(scaled_centres, radii)]
+        for c, r in zip(np.ascontiguousarray(centres, dtype=complex).view(float), radii):
+            np.subtract(x, np.ldexp(c, shift, out=diff), out=diff)
+            slacks.append(r - np.ldexp(row_norms(diff.view(complex)), exp[:, 0]))
+    return slacks
 
 
 def _panel_sups(norms: np.ndarray, exp: np.ndarray, interpolation: str) -> tuple[np.ndarray, ...]:
@@ -570,22 +576,25 @@ _CLASSES = {tag: cls for cls, tag in _TAGS.items()}
 def hypothesis_from_dict(d: dict) -> Hypothesis:
     """Parse the tagged wire format; raises ValueError naming the bad field.
 
-    A missing, malformed or wrong-typed field is reported as
-    ``hypothesis.<key>: ...``; parameter checks of the class follow.
+    A missing, malformed or wrong-typed field is named alone, as in
+    ``K: ...`` or ``type: unknown tag ...`` (the CLI adds the section);
+    parameter checks of the class follow.
     """
-    if not isinstance(d, dict) or "type" not in d:
-        raise ValueError("hypothesis.type: missing")
+    if not isinstance(d, dict):
+        raise ValueError("expected an object with a field type")
+    if "type" not in d:
+        raise ValueError("type: missing")
     tag = d["type"]
     cls = _CLASSES.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise ValueError(f"hypothesis.type: unknown tag {tag!r}")
+        raise ValueError(f"type: unknown tag {tag!r}")
     kwargs = {}
     for f in fields(cls):
         key = _wire_key(f.name)
         if key not in d:
-            raise ValueError(f"hypothesis.{key}: missing for type {tag!r}")
+            raise ValueError(f"{key}: missing for type {tag!r}")
         try:
             kwargs[f.name] = _field_from(f, d[key])
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"hypothesis.{key}: {exc}") from exc
+            raise ValueError(f"{key}: {exc}") from exc
     return cls(**kwargs)

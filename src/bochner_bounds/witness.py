@@ -19,7 +19,7 @@ parallel runs agree exactly and identical seeds give bit-identical grids.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,18 +27,14 @@ from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
 from .hilbert import norm, row_norms, row_sums
 from .hypotheses import Cone, Hypothesis, check, constraints, family_form, tag_of, window
-from .jsonio import dumps_csv
 
 __all__ = [
-    "WitnessSpec",
     "make_witness",
     "perturb_scan",
     "FamilySpec",
     "generate",
     "TightnessStats",
     "tightness",
-    "stats_to_dict",
-    "stats_to_csv",
 ]
 
 COEFF_SURFACE_ULPS = 4  # distance of a witness's coefficient from 1, in units of ulp(1)
@@ -59,42 +55,34 @@ def _repeat(value: np.ndarray, node_count: int) -> np.ndarray:
     return np.tile(np.atleast_1d(value), (node_count, 1))
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    """Request for an equality-case witness of a coefficient-1 hypothesis."""
-
-    hypothesis: Hypothesis
-    interval: Interval = Interval(0.0, 1.0)
-    node_count: int = 33
-
-    def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError("node_count must be >= 2")
-
-
-def make_witness(spec: WitnessSpec) -> GridFunction:
-    """Constant function attaining the bound of the given hypothesis exactly.
+def make_witness(
+    h: Hypothesis,
+    interval: Interval = Interval(0.0, 1.0),
+    node_count: int = 33,
+) -> GridFunction:
+    """Constant function on ``node_count`` uniform nodes attaining the bound of ``h`` exactly.
 
     Its value is the equality direction sum (k_j + i h_j) e_j of the normal
     form.  The hypothesis must lie on the coefficient-1 surface (within
     ``COEFF_SURFACE_ULPS`` ulps of 1), and the direction, as a constant,
     must pass :func:`~.hypotheses.check`; otherwise ValueError reports the
-    measured coefficient or names the class.
+    measured coefficient or names the class.  ``node_count`` must be >= 2.
     """
-    h = spec.hypothesis
+    if node_count < 2:
+        raise ValueError(f"node_count must be >= 2, got {node_count!r}")
     c = coefficient(h)
     if abs(c - 1.0) > COEFF_SURFACE_ULPS * math.ulp(1.0):
         raise ValueError(
             f"witness requires a coefficient-1 hypothesis, got coefficient {c!r}"
         )
     direction = equality_direction(h)
-    report = check(_uniform_grid(spec.interval, _repeat(direction, 2)), h)
+    report = check(_uniform_grid(interval, _repeat(direction, 2)), h)
     if not report.holds:
         raise ValueError(
             f"no constant witness for hypothesis {tag_of(h)!r}: its equality direction "
             f"lies outside the class (worst margin {report.worst_margin!r})"
         )
-    return _uniform_grid(spec.interval, _repeat(direction, spec.node_count))
+    return _uniform_grid(interval, _repeat(direction, node_count))
 
 
 def _widened(h: Hypothesis, eps: float) -> Hypothesis:
@@ -396,11 +384,3 @@ def tightness(
         max_ratio=float(np.max(ratios)),
         violations=violations,
     )
-
-
-def stats_to_dict(stats: TightnessStats) -> dict:
-    return asdict(stats)
-
-
-def stats_to_csv(stats: TightnessStats) -> str:
-    return dumps_csv(stats_to_dict(stats))

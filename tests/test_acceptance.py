@@ -42,7 +42,6 @@ from bochner_bounds.hypotheses import (
 )
 from bochner_bounds.witness import (
     FamilySpec,
-    WitnessSpec,
     _widened,
     generate,
     make_witness,
@@ -136,7 +135,7 @@ def test_criterion_4_equality_iff():
     width = 1.0
     epsilons = [1e-3, 1e-2, 0.1, 0.5]
     for h in WITNESS_SURFACES:
-        w = make_witness(WitnessSpec(h, Interval(0.0, 1.0), node_count=65))
+        w = make_witness(h, Interval(0.0, 1.0), node_count=65)
         report = certify(w, h)
         assert report.gap <= 1e-10
         assert report.equality_residual <= 1e-10

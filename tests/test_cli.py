@@ -95,6 +95,27 @@ def test_error_messages_name_the_offending_field(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+def test_hypothesis_refusals_name_the_section_once(tmp_path, capsys):
+    ok = constant_doc(1.0 + 0j, {"type": "k_cond", "e": [[1, 0]], "K": 2.0})
+    cases = [
+        ({"type": "zebra"}, "hypothesis: type: unknown tag 'zebra'"),
+        ({"type": "k_cond", "e": [[1, 0]]}, "hypothesis: K: missing for type 'k_cond'"),
+        ({"type": "k_cond", "e": [[1, 0]], "K": "x"}, "hypothesis: K: expected JSON numbers"),
+        ({"type": "k_cond", "e": [[1, 0]], "K": 0.5}, "hypothesis: K must be finite and >= 1"),
+        ([2.0], "hypothesis: expected an object"),
+    ]
+    for i, (hyp, message) in enumerate(cases):
+        path = write_doc(tmp_path, f"h{i}.json", dict(ok, hypothesis=hyp))
+        for command in ("check", "certify", "witness", "bench"):
+            assert main([command, "--input", path]) == 1, (hyp, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}"), (command, err)
+            assert err.count("hypothesis") == 1, (command, err)
+    del ok["hypothesis"]
+    assert main(["check", "--input", write_doc(tmp_path, "none.json", ok)]) == 1
+    assert capsys.readouterr().err == "error: hypothesis: missing\n"
+
+
 def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, capsys):
     hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
     nan_values = constant_doc(1.0 + 0j, hyp)
@@ -104,9 +125,9 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
         (nan_values, ("check", "certify", "integrate"), "values"),
         (constant_doc(1.0 + 0j, m_bounds), ("check", "certify"), "M1"),
         (constant_doc(1.0 + 0j, {"type": "orthonormal", "vectors": [[[1, 0]]], "ks": 0.5,
-                                 "hs": [0.1]}), ("check", "certify"), "hypothesis.ks"),
+                                 "hs": [0.1]}), ("check", "certify"), "error: hypothesis: ks: "),
         (constant_doc(1.0 + 0j, {"type": "k_cond", "e": [[1, 0]], "K": [2]}),
-         ("check", "certify"), "hypothesis.K"),
+         ("check", "certify"), "error: hypothesis: K: "),
     ]
     witness_request = {"schema": SCHEMA, "hypothesis": hyp, "node_count": [33]}
     cases.append((witness_request, ("witness",), "node_count"))
@@ -136,8 +157,9 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
     for change, field in function_cases:
         doc = dict(ok, function=dict(ok["function"], **change))
         cases.append((doc, ("check", "certify", "integrate"), field))
-    for change, field in (({"k1": huge}, "hypothesis.k1"), ({"e": [[huge, 0]]}, "hypothesis.e"),
-                          ({"k1": "0.5"}, "hypothesis.k1")):
+    for change, field in (({"k1": huge}, "error: hypothesis: k1: "),
+                          ({"e": [[huge, 0]]}, "error: hypothesis: e: "),
+                          ({"k1": "0.5"}, "error: hypothesis: k1: ")):
         cases.append((constant_doc(1.0 + 0j, dict(hyp, **change)), ("check", "certify"), field))
     cases.append((dict(witness_request, node_count=33, interval={"a": huge, "b": 1}),
                   ("witness",), "interval.a"))

@@ -15,14 +15,15 @@ last bits of some reports.
 import hashlib
 import importlib.util
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from bochner_bounds.cli import RunConfig, main, run
 from bochner_bounds.gridfn import QuadratureRule
-from bochner_bounds.jsonio import dumps
-from bochner_bounds.witness import stats_to_csv, tightness
+from bochner_bounds.jsonio import dumps, dumps_csv
+from bochner_bounds.witness import tightness
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -110,17 +111,24 @@ def test_bench_csv_bytes(tmp_path):
     assert _sha256(out.read_text(encoding="utf-8")) == DIGESTS["bench csv bench_cone.json"]
 
 
-def _shipped_families():
-    spec = importlib.util.spec_from_file_location("tightness_report",
-                                                  ROOT / "scripts" / "tightness_report.py")
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.shipped_families(0)
+    return module
+
+
+def test_make_inputs_reproduces_the_bundled_inputs(tmp_path, capsys):
+    assert _script("make_inputs").main([str(tmp_path)]) == 0
+    names = sorted(path.name for path in INPUTS.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
 
 
 def test_shipped_family_bench_bytes():
-    families = _shipped_families()
+    families = _script("tightness_report").shipped_families(0)
     assert len(families) == 10
-    text = "".join(stats_to_csv(tightness(FAMILY_TRIALS, spec, spec.hypothesis))
+    text = "".join(dumps_csv(asdict(tightness(FAMILY_TRIALS, spec, spec.hypothesis)))
                    for spec in families)
     assert _sha256(text) == DIGESTS["families"]

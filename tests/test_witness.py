@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,15 +21,13 @@ from bochner_bounds.hypotheses import (
     check,
     constraints,
 )
+from bochner_bounds.jsonio import dumps_csv
 from bochner_bounds import witness
 from bochner_bounds.witness import (
     FamilySpec,
-    WitnessSpec,
     generate,
     make_witness,
     perturb_scan,
-    stats_to_csv,
-    stats_to_dict,
     tightness,
 )
 
@@ -42,7 +41,7 @@ CONE_SURFACE = Cone(math.pi / 4, math.pi / 4)
 
 
 def test_unit_vector_witness_values_and_equality():
-    w = make_witness(WitnessSpec(UNIT_SURFACE))
+    w = make_witness(UNIT_SURFACE)
     assert np.allclose(w.values, 0.6 + 0.8j)
     report = certify(w, UNIT_SURFACE)
     assert report.gap == pytest.approx(0.0, abs=1e-12)
@@ -51,38 +50,47 @@ def test_unit_vector_witness_values_and_equality():
 
 
 def test_orthonormal_witness_has_unit_norm_samples():
-    w = make_witness(WitnessSpec(ORTH_SURFACE))
+    w = make_witness(ORTH_SURFACE)
     assert np.allclose(w.values, 0.5 + 0.5j)
     assert np.allclose(np.linalg.norm(w.values, axis=1), 1.0)
     assert equality_holds(certify(w, ORTH_SURFACE), tol=1e-10)
 
 
 def test_cone_witness_is_the_unit_ray():
-    w = make_witness(WitnessSpec(CONE_SURFACE))
+    w = make_witness(CONE_SURFACE)
     assert np.allclose(w.values, (1 + 1j) / math.sqrt(2))
     report = certify(w, CONE_SURFACE)
     assert report.true_norm == pytest.approx(report.lower_bound, abs=1e-12)
 
 
+def test_make_witness_defaults_and_node_count():
+    w = make_witness(UNIT_SURFACE)
+    assert (w.interval, w.nodes.size, w.interpolation) == (Interval(0.0, 1.0), 33, "linear")
+    w = make_witness(UNIT_SURFACE, Interval(-1.0, 2.0), node_count=2)
+    assert w.nodes.tolist() == [-1.0, 2.0]
+    with pytest.raises(ValueError, match="node_count must be >= 2, got 1"):
+        make_witness(UNIT_SURFACE, node_count=1)
+
+
 def test_every_witness_passes_its_check():
     for h in (UNIT_SURFACE, ORTH_SURFACE, CONE_SURFACE):
-        w = make_witness(WitnessSpec(h))
+        w = make_witness(h)
         assert check(w, h).worst_margin >= -1e-12
 
 
 def test_off_surface_witness_requests_are_rejected():
     with pytest.raises(ValueError, match="coefficient"):
-        make_witness(WitnessSpec(UnitVector(E1, 0.6, 0.7)))
+        make_witness(UnitVector(E1, 0.6, 0.7))
     # coefficient cos(1e-6) is 2252 ulps below 1: the window is genuinely
     # non-degenerate and has no constant witness
     assert coefficient(Cone(0.0, 1e-6)) != 1.0
     with pytest.raises(ValueError, match="coefficient"):
-        make_witness(WitnessSpec(Cone(0.0, 1e-6)))
+        make_witness(Cone(0.0, 1e-6))
 
 
 def test_k_condition_with_K_one_has_the_constant_witness_e():
     h = KCond(E1, 1.0)
-    w = make_witness(WitnessSpec(h))
+    w = make_witness(h)
     assert np.array_equal(w.values, np.tile(E1, (33, 1)))
     assert equality_holds(certify(w, h), tol=1e-10)
     # Im<f, e> is free in the K-condition, so a phase spread has no rotated class
@@ -97,11 +105,11 @@ def test_surface_class_whose_direction_leaves_it_is_refused():
     # the direction (1 + i)/sqrt(2) lies outside both disks; the disks touch
     # at (1 + i)/2 only
     with pytest.raises(ValueError, match="no constant witness for hypothesis 'disk'"):
-        make_witness(WitnessSpec(h))
+        make_witness(h)
 
 
 def test_phase_scan_gaps_increase_from_zero():
-    w = make_witness(WitnessSpec(CONE_SURFACE))
+    w = make_witness(CONE_SURFACE)
     scan = perturb_scan(w, CONE_SURFACE, [0.0, 0.01, 0.1], mode="phase")
     eps, gaps = zip(*scan)
     assert eps == (0.0, 0.01, 0.1)
@@ -110,7 +118,7 @@ def test_phase_scan_gaps_increase_from_zero():
 
 
 def test_phase_scan_on_unit_vector_witness():
-    w = make_witness(WitnessSpec(UNIT_SURFACE))
+    w = make_witness(UNIT_SURFACE)
     scan = perturb_scan(w, UNIT_SURFACE, [0.0, 0.05, 0.2], mode="phase")
     gaps = [g for _, g in scan]
     assert gaps[0] <= 1e-12
@@ -119,7 +127,7 @@ def test_phase_scan_on_unit_vector_witness():
 
 
 def test_amplitude_scan_preserves_equality():
-    w = make_witness(WitnessSpec(UNIT_SURFACE))
+    w = make_witness(UNIT_SURFACE)
     scan = perturb_scan(w, UNIT_SURFACE, [0.0, 0.1, 0.5], mode="amplitude")
     for _, gap in scan:
         assert abs(gap) <= 1e-10
@@ -145,10 +153,10 @@ def test_scan_perturbs_on_the_nodes_of_the_witness():
 
 
 def test_scan_errors_when_perturbation_leaves_the_class():
-    cone_w = make_witness(WitnessSpec(CONE_SURFACE))
+    cone_w = make_witness(CONE_SURFACE)
     with pytest.raises(ValueError, match="argument window"):
         perturb_scan(cone_w, CONE_SURFACE, [2.0], mode="phase")
-    unit_w = make_witness(WitnessSpec(UnitVector(E1, 1.0, 0.0)))
+    unit_w = make_witness(UnitVector(E1, 1.0, 0.0))
     with pytest.raises(ValueError, match="negative"):
         perturb_scan(unit_w, UnitVector(E1, 1.0, 0.0), [0.1], mode="phase")
     with pytest.raises(ValueError, match="amplitude"):
@@ -293,9 +301,9 @@ def test_tightness_is_deterministic():
 def test_stats_serialization():
     spec = FamilySpec(hypothesis=Cone(0.1, 0.9), seed=2)
     stats = tightness(10, spec, Cone(0.1, 0.9))
-    doc = stats_to_dict(stats)
+    doc = asdict(stats)
     assert doc["trials"] == 10 and doc["violations"] == 0
-    csv = stats_to_csv(stats)
+    csv = dumps_csv(asdict(stats))
     lines = csv.strip().split("\n")
     assert lines[0] == "trials,mean_ratio,min_ratio,max_ratio,violations"
     assert lines[1].startswith("10,")
