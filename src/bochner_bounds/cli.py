@@ -49,7 +49,7 @@ from .gridfn import (
 )
 from .hilbert import norm
 from .hypotheses import DEFAULT_CHECK_TOL, check, hypothesis_from_dict, hypothesis_to_dict
-from .jsonio import SchemaError, decode_floats, dumps, dumps_csv, encode_pairs
+from .jsonio import ArrayDecoder, SchemaError, decode_floats, dumps, dumps_csv, encode_pairs
 
 __all__ = ["RunConfig", "run", "render_table", "main", "console_main"]
 
@@ -83,9 +83,11 @@ class RunConfig:
 def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, cls=ArrayDecoder)
     except OSError as exc:
         raise SchemaError(f"input: cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input: cannot decode {path!r} as UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"input: invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(doc, dict):

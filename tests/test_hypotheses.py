@@ -236,9 +236,10 @@ def test_estimators_are_unchanged_by_powers_of_two(seed):
 
 
 def test_estimators_of_a_constant_whose_squares_underflow():
-    # the squares of 1e-170 underflow to 0; those of 1e-150 do not
-    normal = constant(1e-150 * (0.6 + 0.8j) * E1)
-    for scale in (1e-170, 1e-300):
+    # the squares of 2^-565 and 2^-997 fall below 2^-1074 and underflow; those of
+    # 2^-500 do not; powers of two apart, the three scale to the same values
+    normal = constant(2.0**-500 * (0.6 + 0.8j) * E1)
+    for scale in (2.0**-565, 2.0**-997):
         f = constant(scale * (0.6 + 0.8j) * E1)
         assert estimate_unit_vector(f, E1) == estimate_unit_vector(normal, E1)
         assert estimate_K(f, E1) == estimate_K(normal, E1)
