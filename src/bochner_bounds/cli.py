@@ -90,6 +90,8 @@ def _load_document(path: str) -> dict:
         raise SchemaError(f"input: cannot decode {path!r} as UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"input: invalid JSON in {path!r}: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's limit on the digits it converts
+        raise SchemaError(f"input: cannot read a number in {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("input: top level must be a JSON object")
     if doc.get("schema") != SCHEMA:

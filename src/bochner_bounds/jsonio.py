@@ -15,11 +15,9 @@ is read as its ``.tolist()``, so both decode as the same lists would.
 Bulk reading.  ``json.load(fh, cls=ArrayDecoder)`` reads a document as
 ``json.load`` does, except that the arrays under ``function.nodes`` and
 ``function.values`` come back as one float64 ndarray each, in the nest's
-shape, instead of nested lists.  json never builds the row and pair lists:
-the brackets inside each such array are deleted, and json reads what is
-left as one flat list of numbers.  Before it uses that list the reader
-proves that the array text is a JSON array that json would read as the
-same numbers:
+shape, instead of nested lists.  json never builds the row and pair lists.
+Before it uses such an array the reader proves that the array text is a
+JSON array that json would read as the same numbers:
 
 * the text holds only brackets, commas, JSON whitespace and the characters
   of numbers;
@@ -28,19 +26,50 @@ same numbers:
   which every list is non-empty and every number sits inside its innermost
   brackets (``[1, 2]``, never ``1 [, 2]`` or ``[1] 2``), so deleting the
   brackets joins no two numbers, and the nest has at most numpy's 64 axes;
-* json reads the flat text (so each mark was one JSON number), and every
-  integer among them fits a float (the same ``np.fromiter`` converts
-  them).
+* each number, with the brackets deleted, reads as json reads it, by one
+  of two paths.
+
+The strtold path runs where long double is a binary format of at least 64
+significant bits (x87 extended precision on x86-64 Linux, IEEE quad on
+aarch64 Linux) and numpy raises on a read that stops early; both are
+decided once, at import.  ``np.fromstring(..., np.longdouble, sep=",")``
+reads about 64 KiB of numbers at a time in one C call to the C library's
+``strtold``, which rounds correctly to 64 bits, and the results are
+rounded to float64.  Two checks make that json's result:
+
+* Grammar.  Over the characters of numbers, strtold reads whole three
+  things that JSON refuses, and only these are checked, from the bytes: a
+  ``+`` that does not follow an exponent's ``e`` or ``E``, a leading 0
+  followed by a digit (``01``, ``-01``), and a ``.`` without a digit on
+  each side (``1.``, ``.5``, ``-.5``, ``1.e5``).  Whatever else JSON
+  refuses (a second ``.`` or exponent, a stray sign, ``1e``, two numbers
+  in one place) stops strtold before the next comma, and a 0 appended to
+  each piece makes sure that such a read is not the last, so it raises.
+* Rounding.  Rounding the 64-bit result to 53 bits gives the correctly
+  rounded double, json's float, unless the 64-bit result lies exactly
+  halfway between two adjacent doubles, on the normal or the subnormal
+  grid (the double-rounding argument of Clinger, "How to Read Floating
+  Point Numbers Accurately", PLDI 1990): then ``2 x - near`` is the other
+  neighbour, exactly, and is otherwise no double.  Only those numbers,
+  and those that round to an infinity (where json refuses an integer), are
+  read again by json from their text.  Zeros are settled in numpy: ``-0``
+  is json's integer 0, so it reads +0.0, while ``-0.0`` and ``-0e5`` read
+  -0.0.
+
+Elsewhere json reads the bracket-free text as one flat list of numbers,
+and every integer among them must fit a float (the same ``np.fromiter``
+converts them).  Either way an array holds json's bits, on every platform.
 
 The rest of the document is read by json with a placeholder string in
 place of each such array, and each placeholder must turn up at
 ``function.nodes`` or ``function.values``, so an array anywhere else (a
 ``generator.nodes``, say) stays a list.  If any step fails, as for a
 document with a backslash, a second ``nodes`` or ``values`` array,
-``NaN``, ``[]`` or a string in such an array, or invalid JSON, the
-reader parses the whole text again as plain ``json.load`` would, and
-returns that or raises its error.  So an accepted document decodes to the
-same bits as before, and a refused one fails with json's own message.
+``NaN``, ``[]`` or a string in such an array, an integer too large for a
+float, or invalid JSON, the reader parses the whole text again as plain
+``json.load`` would, and returns that or raises its error.  So an accepted
+document decodes to the same bits as before, and a refused one fails with
+json's own message.
 
 Encoding.  :func:`encode_pairs` is the inverse of :func:`decode_pairs` and
 returns plain lists.  :func:`dumps` fixes every float at 17 significant
@@ -59,6 +88,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -121,6 +151,28 @@ _CODES = bytes.maketrans(b"[],\0\1\2\3" + _NUMBER_CHARS,
                          b"\1\2\3\4\4\4\4" + bytes(len(_NUMBER_CHARS)))
 _JSON_SPACE = b" \t\n\r"
 _CHUNK = 1 << 20  # bytes per numpy pass in _skeleton, so its temporaries stay small
+_PIECE = 1 << 16  # bytes per strtold read: its temporaries stay in cache
+
+
+def _strtold_reads_exactly() -> bool:
+    """Whether long double is a binary format of 64 or more bits and a partial read raises.
+
+    Then ``_long_read`` gives json's bits: x87 extended precision and IEEE
+    quad qualify, double-double (whose exponent is a double's) does not.
+    """
+    info = np.finfo(np.longdouble)
+    if info.nmant < 63 or info.nexp != 15:
+        return False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # older numpy only warns
+        try:
+            np.fromstring("1 2", np.longdouble, sep=",")
+        except ValueError:
+            return True
+    return False
+
+
+_STRTOLD_READ = _strtold_reads_exactly()
 
 
 def _array_spans(s: str):
@@ -181,6 +233,63 @@ def _nest_shape(skeleton: bytes):
     return tuple(reversed(shape)) if template == skeleton else None
 
 
+def _json_numbers(c: np.ndarray) -> bool:
+    """Whether every number in the piece ``c`` that strtold reads whole is a JSON number.
+
+    ``c`` holds numbers, commas and JSON whitespace and ends in ``",0"``.
+    strtold reads three things that JSON refuses: a ``+`` not after an
+    exponent's ``e``, a leading 0 followed by a digit, and a ``.`` without a
+    digit on each side.  ``c[-1]`` is that 0, so ``c[i - 1]`` at ``i = 0``
+    reads as no ``e``.
+    """
+    plus = np.flatnonzero(c == 43)
+    if ((c[plus - 1] | 32) != 101).any():  # "e" or "E"
+        return False
+    nibble = c | 15  # 63 exactly for the digits among the bytes that c can hold
+    other, digit = nibble != 63, nibble == 63
+    if c[0] == 46 or ((c[1:-1] == 46) & (other[:-2] | other[2:])).any():
+        return False
+    if c[0] == 48 and digit[1]:
+        return False
+    # a 0 followed by a digit after whitespace, a comma or a sign starts the
+    # integer part, unless the sign is an exponent's
+    suspects = np.flatnonzero((c[1:-1] == 48) & digit[2:] & (c[:-2] <= 45)) + 1
+    if suspects.size:
+        before = c[suspects - 1]
+        exponent = ((before == 43) | (before == 45)) & ((c[suspects - 2] | 32) == 101)
+        if not exponent.all():
+            return False
+    return True
+
+
+def _round_to_doubles(wide: np.ndarray, near: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Round the strtold results ``wide`` into ``near``; the indices json must read again.
+
+    Rounding to 64 bits and then to 53 gives the correctly rounded double
+    unless the 64-bit result is a midpoint between two adjacent doubles, on
+    the normal or the subnormal grid.  Those are returned, and so are the
+    results that round to an infinity, where json's integers overflow.  A
+    ``-0`` token is json's integer 0, so it is set to +0.0 here.  ``wide``
+    is overwritten.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        near[...] = wide
+        # 2 x - near, exact: near if x is a double, the other neighbour of x
+        # if x is a midpoint, and strictly between the two otherwise
+        wide -= near - wide
+        double = wide.astype(np.float64)
+        again = np.flatnonzero((wide == double) & (double != near) | np.isinf(near))
+    zero = near == 0
+    if zero.any() and np.signbit(near[zero]).any():
+        signs = np.flatnonzero(codes[:-2] == 45)
+        # "-0" then a comma or whitespace, not after an exponent's "e" (codes[-1]
+        # is the appended 0, so a "-" at 0 passes)
+        minus_zero = signs[(codes[signs + 1] == 48) & (codes[signs + 2] <= 44)
+                           & ((codes[signs - 1] | 32) != 101)]
+        near[np.searchsorted(np.flatnonzero(codes == 44), minus_zero)] = 0.0
+    return again
+
+
 class ArrayDecoder(json.JSONDecoder):
     """``json.JSONDecoder`` that reads ``function.nodes`` and ``function.values`` as float arrays.
 
@@ -225,11 +334,44 @@ class ArrayDecoder(json.JSONDecoder):
         shape = _nest_shape(_skeleton(text.translate(_CODES, _JSON_SPACE)))
         if shape is None:
             return None
-        # one copy of the text at a time: brackets out, to str, outer pair back
         text = text.translate(None, b"[]")
+        if _STRTOLD_READ:
+            flat = np.empty(math.prod(shape))
+            return flat.reshape(shape) if self._long_read(text, flat) else None
+        # one copy of the text at a time: to str, outer pair back
         text = text.decode("ascii")
         flat = super().decode(f"[{text}]")
         return np.fromiter(flat, float, len(flat)).reshape(shape)
+
+    def _long_read(self, text: bytes, out: np.ndarray) -> bool:
+        """Fill ``out`` with json's floats of the numbers in ``text``, which has no brackets.
+
+        False if the grammar check refuses a number; ValueError if strtold
+        stops inside one.  ``text`` is read in pieces of about ``_PIECE``
+        bytes that end at a comma.
+        """
+        lo = done = 0
+        while lo <= len(text):
+            hi = text.find(b",", lo + _PIECE)
+            hi = len(text) if hi < 0 else hi
+            # a number that strtold reads only in part is never the last one
+            piece = b"".join((memoryview(text)[lo:hi], b",0"))
+            lo = hi + 1
+            codes = np.frombuffer(piece, np.uint8)
+            if not _json_numbers(codes):
+                return False
+            count = np.count_nonzero(codes == 44)  # the numbers before the 0
+            # sized up front, so numpy grows no buffer; a read that stops early raises
+            wide = np.fromstring(piece, np.longdouble, count + 1, sep=",")
+            near = out[done:done + count]
+            again = _round_to_doubles(wide[:count], near, codes)
+            if again.size:
+                commas = np.flatnonzero(codes == 44)
+                for at in again.tolist():
+                    start = commas[at - 1] + 1 if at else 0
+                    near[at] = float(super().decode(piece[start:commas[at]].decode("ascii")))
+            done += count
+        return done == out.size
 
 
 def decode_floats(raw, ndim: int) -> np.ndarray:

@@ -4,19 +4,29 @@ Every case has one of two outcomes: the bulk read returns the plain read
 with ``function.nodes``/``function.values`` as float arrays that equal
 ``np.array(plain, float)`` bit for bit, or it fails with the same exception
 type and message.  Over the CLI, both readers give the same exit status,
-output and ``error:`` line.
+output and ``error:`` line.  The number cases run on both read paths: the
+strtold read, where long double has 64 bits or more, and the flat json
+read that every platform has.
 """
 
 import json
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochner_bounds import cli
+from bochner_bounds import cli, jsonio
 from bochner_bounds.gridfn import gridfunction_from_dict
 from bochner_bounds.jsonio import ArrayDecoder
+
+READ_PATHS = [
+    pytest.param(True, id="strtold", marks=pytest.mark.skipif(
+        not jsonio._STRTOLD_READ, reason="the strtold read does not run here")),
+    pytest.param(False, id="flat-json"),
+]
 
 HYPOTHESIS = '{"type": "k_cond", "e": [[1, 0]], "K": 2.0}'
 NODES = "[0.0, 0.5, 1.0]"
@@ -275,3 +285,146 @@ def test_library_callers_may_pass_arrays(nodes, values):
          "values": values}
     lists = dict(d, nodes=nodes.tolist(), values=values.tolist())
     assert grid_outcome(d) == grid_outcome(lists)
+
+
+# ------------------------------------------------------- the two read paths
+
+@pytest.fixture(params=READ_PATHS)
+def strtold(request, monkeypatch):
+    """Run the test on one read path of ArrayDecoder."""
+    monkeypatch.setattr(jsonio, "_STRTOLD_READ", request.param)
+    return request.param
+
+
+def values_with(tokens) -> str:
+    """A values array of pairs that holds ``tokens`` in order, padded with 0.5."""
+    tokens = list(tokens) + ["0.5"] * (len(tokens) % 2)
+    return "[%s]" % ", ".join("[[%s, %s]]" % pair for pair in zip(tokens[::2], tokens[1::2]))
+
+
+def json_reads(monkeypatch, text) -> list:
+    """The numbers that json read one at a time while ArrayDecoder read ``text``."""
+    reads, decode = [], json.JSONDecoder.decode
+
+    def counting(self, s, *args):
+        if "[" not in s and "{" not in s:
+            reads.append(s)
+        return decode(self, s, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(json.JSONDecoder, "decode", counting)
+        json.loads(text, cls=ArrayDecoder)
+    return reads
+
+
+def random_doubles(rng, count) -> list:
+    """Finite doubles with random bits: every exponent, about a tenth of them subnormal."""
+    bits = rng.integers(0, 2 ** 64, count, dtype=np.uint64, endpoint=False)
+    bits[::10] &= np.uint64(2 ** 52 - 1)
+    doubles = bits.view(np.float64)
+    return doubles[np.isfinite(doubles)].tolist()
+
+
+def midpoint_texts(doubles) -> list:
+    """Exact decimals of the midpoints between each double and the next one up."""
+    with localcontext() as ctx:
+        ctx.prec = 1200  # exact: a double has at most 767 significant digits
+        return [str((Decimal(a) + Decimal(math.nextafter(a, math.inf))) / 2) for a in doubles
+                if math.nextafter(a, math.inf) < math.inf]
+
+
+def last_digit_neighbours(texts) -> list:
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        out = []
+        for text in texts:
+            exact = Decimal(text)
+            unit = Decimal((0, (1,), exact.as_tuple().exponent))
+            out += [str(exact - unit), str(exact + unit)]
+        return out
+
+
+EDGE_NUMBERS = [
+    "9007199254740993", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1.7976931348623158e308", "1.7976931348623159e308", "-0", "-0.0", "-0e5", "0e0", "1e-400",
+    "-1e-400", "1E+05", "1e-05", "-0.5E-05", "1e+0", "0.0000001", str(10 ** 400),
+    "0." + "1234567890" * 70, "-" + "9" * 300 + "." + "7" * 400,
+    # JSON refuses the rest; strtold reads these whole
+    "1.e5", "-.5", "+1e5", "01", "-01", "00", "-00.5", "1.", ".5", "5.e3",
+    # and stops inside these
+    "1e5.5", "1.2.3", "1..2", "--1", "-+1", "+-1", "1-2", "0-1", "1e", "1e+", "1ee5", "1e5e5",
+    "e5", "E5", ".e1", "-", "+", ".", "1 2", "1\t2", "- 1",
+]
+
+
+def accepted_in_bulk(token) -> bool:
+    """Whether json reads ``token`` as a number that fits a float."""
+    try:
+        float(json.loads(token))
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("token", EDGE_NUMBERS)
+def test_edge_numbers_read_as_json_reads_them(token, strtold):
+    want = ["nodes", "values"] if accepted_in_bulk(token) else []
+    for at in (0, 3, 5):  # first, inside, last
+        tokens = ["0.25"] * 6
+        tokens[at] = token
+        assert bulk_read(doc_text(values=values_with(tokens))) == want
+    assert bulk_read(doc_text(nodes="[%s, 0.5, 1.0]" % token)) == want
+
+
+def test_random_bit_patterns_read_bit_for_bit(strtold):
+    doubles = random_doubles(np.random.default_rng(17), 20000)
+    tokens = list(map(repr, doubles)) + ["%.17g" % x for x in doubles]
+    assert bulk_read(doc_text(values=values_with(tokens))) == ["nodes", "values"]
+
+
+def test_midpoints_between_doubles_and_their_neighbours(strtold, monkeypatch):
+    doubles = random_doubles(np.random.default_rng(18), 1500) + [
+        0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 0.5, 1.0, 2.0 ** 52,
+        2.0 ** 53, 1.7976931348623155e308]
+    doubles += [-x for x in doubles[-9:]]
+    midpoints = midpoint_texts(doubles)
+    text = doc_text(values=values_with(midpoints))
+    assert bulk_read(text) == ["nodes", "values"]
+    # json reads a number again only where the 64-bit result is a midpoint
+    assert len(json_reads(monkeypatch, text)) == (len(midpoints) if strtold else 0)
+    neighbours = doc_text(values=values_with(last_digit_neighbours(midpoints)))
+    assert bulk_read(neighbours) == ["nodes", "values"]
+
+
+def test_zeros_of_both_signs_need_no_json_read(strtold, monkeypatch):
+    zeros = ["0.0", "-0.0", "-0", "0", "-0e5", " -0", "-0 ", "0.5"] * 1000
+    text = doc_text(values=values_with(zeros))
+    assert bulk_read(text) == ["nodes", "values"]
+    assert json_reads(monkeypatch, text) == []
+    values = json.loads(text, cls=ArrayDecoder)["function"]["values"].ravel()
+    assert np.signbit(values).tolist() == [False, True, False, False, True, False, False,
+                                           False] * 1000
+
+
+@pytest.mark.skipif(not jsonio._STRTOLD_READ, reason="the strtold read does not run here")
+def test_every_number_on_a_piece_edge(monkeypatch):
+    """Pieces of one number each: every check and every json read sits at a piece edge."""
+    monkeypatch.setattr(jsonio, "_PIECE", 1)
+    good = [t for t in EDGE_NUMBERS if accepted_in_bulk(t)]
+    good += midpoint_texts([0.0, 1.0, 5e-324, 1e300])
+    assert bulk_read(doc_text(values=values_with(good))) == ["nodes", "values"]
+    for bad in ("01", "-01", "1.", ".5", "+1", "1 2"):
+        for at in (0, 1, len(good) - 1):
+            assert bulk_read(doc_text(values=values_with(good[:at] + [bad] + good[at:]))) == []
+
+
+@pytest.mark.parametrize("where", ["values", "hypothesis K"])
+def test_an_integer_past_the_digit_limit_names_the_input(where, strtold, tmp_path, monkeypatch,
+                                                         capsys):
+    huge = "1" + "0" * 5000
+    text = (doc_text(values=values_with([huge])) if where == "values"
+            else doc_text().replace('"K": 2.0', '"K": ' + huge))
+    status, out, err = cli_outcome(tmp_path, monkeypatch, capsys, text.encode())
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: input: cannot read a number in {str(tmp_path / 'doc.json')!r}: ")
+    assert "4300" in err and err.count("\n") == 1
