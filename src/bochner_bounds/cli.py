@@ -72,12 +72,15 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol: must be finite and > 0, got {self.tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_COUNT:
             raise ValueError(f"trials: must be between 1 and {MAX_COUNT}, got {self.trials}")
+        if self.command == "witness" and self.output_path.endswith(".csv"):
+            # CSV keeps a report's scalar fields, and a witness document has none
+            raise ValueError(f"output: a witness document has no CSV form, got {self.output_path!r}")
 
 
 def _load_document(path: str) -> dict:

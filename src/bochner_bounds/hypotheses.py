@@ -431,9 +431,11 @@ def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> Con
     relative to the sup norm of f on the panel and ball slacks absolute, so
     ``tol`` is relative for the homogeneous classes and absolute for the
     disk and annulus classes.  Every node counts, f(t) = 0 included.  Ties on the
-    worst point resolve to the smallest t.  Raises ValueError if the worst
-    slack is not finite.
+    worst point resolve to the smallest t.  Raises ValueError if ``tol`` is
+    not finite and > 0, or if the worst slack is not finite.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol: must be finite and > 0, got {tol!r}")
     dim = hypothesis_dim(h)
     if dim != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={dim}")

@@ -76,11 +76,15 @@ returns plain lists.  :func:`dumps` fixes every float at 17 significant
 digits (``json.dumps`` would leave it to ``repr``), so that identical inputs
 produce byte-identical output files.  A rectangular nested list of finite
 ``float`` leaves is rendered with one ``%`` on a template built from its
-shape; everything else is rendered item by item, with the same bytes.  Dict
-keys keep insertion order (the schemas fix it).  Negative zero is written
-``-0.0``, which ``json.load`` reads back as a signed float (``-0`` would be
-the integer 0).  :func:`dumps_csv` writes the scalar fields of a report as
-a CSV header and row, with the same numbers.
+shape; everything else is rendered item by item, with the same bytes.  If
+the nest's top-level rows all equal the first bit for bit (a witness's
+``values`` do), only the first row is formatted and its text is repeated,
+again with the same bytes: ``0.0`` and ``-0.0`` count as different rows,
+as their texts differ.  Dict keys keep insertion order (the schemas fix
+it).  Negative zero is written ``-0.0``, which ``json.load`` reads back as
+a signed float (``-0`` would be the integer 0).  :func:`dumps_csv` writes
+the scalar fields of a report as a CSV header and row, with the same
+numbers.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ import json
 import math
 import re
 import warnings
+from array import array
 from itertools import chain
 
 import numpy as np
@@ -392,7 +397,11 @@ def encode_pairs(values: np.ndarray) -> list:
 
 
 def _float_tensor(obj: list) -> str | None:
-    """``obj`` rendered by one template if it is a rectangular nest of finite floats."""
+    """``obj`` rendered by one template if it is a rectangular nest of finite floats.
+
+    If every top-level row equals the first bit for bit, only the first row
+    is formatted and its text repeated, which gives the same bytes.
+    """
     level, shape = [obj], []
     while True:
         kinds = set(map(type, level))
@@ -405,6 +414,13 @@ def _float_tensor(obj: list) -> str | None:
             return None
         shape.append(widths.pop())
         level = list(chain.from_iterable(level))
+    rows = shape[0]
+    first = level[:len(level) // rows]
+    # == stops at the first row that differs; it takes -0.0 for 0.0, and
+    # only a row with a zero needs its bits compared as well
+    if rows > 1 and first * rows == level and (
+            0.0 not in first or array("d", first).tobytes() * rows == array("d", level).tobytes()):
+        shape[0], level = 1, first
     template = "%.17g"
     for width in reversed(shape):
         template = "[" + ", ".join([template] * width) + "]"
@@ -413,7 +429,9 @@ def _float_tensor(obj: list) -> str | None:
     if "n" in text:
         return None
     # it writes a negative zero as "-0" (then "," or "]"); scan only if f has a zero
-    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]") if 0.0 in level else text
+    if 0.0 in level:
+        text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+    return text if shape[0] == rows else "[" + ", ".join([text[1:-1]] * rows) + "]"
 
 
 def _render(obj, parts: list) -> None:

@@ -368,6 +368,7 @@ def test_usage_errors_and_unread_flags_exit_1(capsys):
     disk = str(INPUTS / "disk_lens.json")
     witness = str(INPUTS / "witness_unit_vector.json")
     bench = str(INPUTS / "bench_cone.json")
+    failing = str(INPUTS / "failing_unit_vector.json")
     cases = [
         ([], "command"),
         (["check"], "--input"),
@@ -384,6 +385,10 @@ def test_usage_errors_and_unread_flags_exit_1(capsys):
         (["integrate", "--input", disk, "--seed", "1"], "--seed"),
         (["check", "--input", disk, "--table"], "--table"),
         (["bench", "--input", bench, "--seed", "-5"], "seed: must be >= 0, got -5"),
+        # an infinite tolerance would pass the failing function
+        (["check", "--input", failing, "--tol", "inf"], "tol: must be finite and > 0, got inf"),
+        (["certify", "--input", failing, "--tol", "inf"], "tol: must be finite and > 0, got inf"),
+        (["check", "--input", failing, "--tol", "0"], "tol: must be finite and > 0, got 0.0"),
     ]
     for argv, field in cases:
         assert main(argv) == 1, argv
@@ -405,6 +410,15 @@ def test_witness_round_trip_through_files(tmp_path, capsys):
     assert status == 0
     assert abs(doc["gap"]) <= 1e-12
     assert abs(doc["equality_residual"]) <= 1e-12
+
+
+def test_witness_refuses_a_csv_output_before_writing(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["witness", "--input", str(INPUTS / "witness_unit_vector.json"),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ") and repr(str(out)) in err, err
+    assert not out.exists()
 
 
 def test_witness_rejects_off_surface_hypothesis(tmp_path, capsys):

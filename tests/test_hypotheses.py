@@ -119,6 +119,13 @@ def test_dimension_mismatch_raises():
         check(constant([1.0, 0.0]), UnitVector(E1, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_check_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a violated hypothesis: an infinite tolerance would pass it
+    with pytest.raises(ValueError, match=rf"^tol: must be finite and > 0, got {tol!r}$"):
+        check(constant([-1.0]), UnitVector(E1, 0.6, 0.8), tol=tol)
+
+
 def test_zero_function_holds_with_margin_0():
     fam = OrthonormalFamily(E1[None, :])
     for h in (Cone(0.1, 0.5), Karamata(0.7), KCond(E1, 2.0), UnitVector(E1, 0.6, 0.8),

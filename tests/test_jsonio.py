@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bochner_bounds.gridfn import gridfunction_from_dict, gridfunction_to_dict
@@ -71,9 +71,20 @@ finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 @st.composite
 def float_tensors(draw, leaves=finite_floats):
-    """Rectangular nested lists of floats, 1 to 3 levels deep."""
+    """Rectangular nested lists of floats, 1 to 3 levels deep.
+
+    About half repeat one row 2 to 4 times, each copy with the signs of its
+    zeros flipped or not, so that rows equal under ``==`` can differ in bits.
+    """
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    flat = draw(st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)))
+    if draw(st.booleans()):
+        shape[0] = draw(st.integers(2, 4))
+        size = math.prod(shape[1:])
+        row = draw(st.lists(leaves, min_size=size, max_size=size))
+        flips = draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+        flat = [-x if flip and x == 0 else x for flip in flips for x in row]
+    else:
+        flat = draw(st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)))
     return np.array(flat, dtype=object).reshape(shape).tolist()
 
 
@@ -98,6 +109,10 @@ trees = st.recursive(
 
 @settings(max_examples=500, deadline=None)
 @given(trees)
+@example([[0.0, 1.0], [-0.0, 1.0]])
+@example([[-0.0, 1.0], [0.0, 1.0]])
+@example([-0.0, 0.0, -0.0])
+@example([[], np.float64(0.0)])
 def test_dumps_matches_the_per_item_renderer(tree):
     assert outcome(dumps, tree) == outcome(per_item_dumps, tree)
 

@@ -15,13 +15,17 @@ last bits of some reports.
 import hashlib
 import importlib.util
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bochner_bounds.cli import RunConfig, main, run
 from bochner_bounds.gridfn import QuadratureRule
+from bochner_bounds.hilbert import OrthonormalFamily
+from bochner_bounds.hypotheses import Cone, Orthonormal, UnitVector, hypothesis_to_dict
 from bochner_bounds.jsonio import dumps, dumps_csv
 from bochner_bounds.witness import tightness
 
@@ -103,6 +107,44 @@ def test_bundled_report_bytes_on_the_nodes(command, name, kind):
     config = RunConfig(command=command, input_path=str(INPUTS / name), quad=QuadratureRule(kind, 1))
     status, doc = run(config)
     assert _sha256(f"{status}\n{dumps(doc)}") == ON_NODE_DIGESTS[f"{command} {name} {kind}"]
+
+
+def _document_io_family() -> OrthonormalFamily:
+    """Two orthonormal vectors in C^4, drawn as ``perfbench/workloads.document_io`` draws them."""
+    rng = np.random.Generator(np.random.PCG64([1, 1]))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return OrthonormalFamily(q[:, :2].T)
+
+
+E1 = np.array([1.0 + 0j])
+LARGE_WITNESSES = {
+    # the equality surfaces of test_acceptance.WITNESS_SURFACES
+    "unit_vector": UnitVector(E1, 0.6, 0.8),
+    "orthonormal": Orthonormal(OrthonormalFamily(np.eye(2, dtype=complex)), ks=(0.5, 0.5),
+                               hs=(0.5, 0.5)),
+    "cone": Cone(math.pi / 4, math.pi / 4),
+    "orthonormal d=4": Orthonormal(_document_io_family(), ks=(0.5, 0.5), hs=(0.5, 0.5)),
+    "unit_vector with zeros": UnitVector(np.array([1.0 + 0j, 0j]), 0.6, 0.8),
+}
+
+LARGE_WITNESS_DIGESTS = {
+    "unit_vector": "a17ac4dcf8301af501a9c0d228f7653c0b0d7e96b8e261853b14f5017cd7d2ed",
+    "orthonormal": "9bcfc951fe36cfaf04f6e7820e6413bd6f5e0ca34a8f9537a46ed524f8ae8abe",
+    "cone": "7f6c1f3026de0a30b5052131591e32edb2c376b098d6e960fd2cb970d2c82dfe",
+    "orthonormal d=4": "148978b18b254355fce40b6d13401213c483d570301fa3bc12e97c971b010c95",
+    "unit_vector with zeros": "ca302373d67115ec02686500c0d0b3ee5186fe6b5a8b817895238192918f4c57",
+}
+
+
+@pytest.mark.parametrize("name", LARGE_WITNESSES)
+def test_large_witness_bytes(tmp_path, name):
+    # every row of a witness's values is the same, and its nodes all differ
+    request = {"schema": "bochner-bounds/1", "hypothesis": hypothesis_to_dict(LARGE_WITNESSES[name]),
+               "node_count": 10_000}
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(request), encoding="utf-8")
+    status, doc = run(RunConfig(command="witness", input_path=str(path)))
+    assert _sha256(f"{status}\n{dumps(doc)}") == LARGE_WITNESS_DIGESTS[name]
 
 
 def test_bench_csv_bytes(tmp_path):
