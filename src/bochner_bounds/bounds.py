@@ -36,7 +36,7 @@ import numpy as np
 
 from .gridfn import DEFAULT_RULE, GridFunction, QuadratureRule, integrate_norm, integrate_vector
 from .hilbert import norm
-from .hypotheses import DEFAULT_CHECK_TOL, Cone, Hypothesis, check, family_form, tag_of
+from .hypotheses import DEFAULT_CHECK_TOL, Cone, Hypothesis, check, family_form, require_tol, tag_of
 from .jsonio import encode_pairs
 
 __all__ = [
@@ -118,7 +118,8 @@ def certify(
 
 
 def equality_holds(report: BoundReport, tol: float = DEFAULT_CHECK_TOL) -> bool:
-    """Whether the bound is attained: both gap and residual below tol * max(1, ||integral f||)."""
+    """Whether gap and residual are both <= tol * max(1, ||integral f||); tol finite and > 0."""
+    require_tol(tol)
     scale = max(1.0, report.true_norm)
     return report.gap <= tol * scale and report.equality_residual <= tol * scale
 

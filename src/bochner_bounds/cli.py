@@ -48,7 +48,8 @@ from .gridfn import (
     integrate_vector,
 )
 from .hilbert import norm
-from .hypotheses import DEFAULT_CHECK_TOL, check, hypothesis_from_dict, hypothesis_to_dict
+from .hypotheses import (DEFAULT_CHECK_TOL, check, hypothesis_from_dict, hypothesis_to_dict,
+                         require_tol)
 from .jsonio import ArrayDecoder, SchemaError, decode_floats, dumps, dumps_csv, encode_pairs
 
 __all__ = ["RunConfig", "run", "render_table", "main", "console_main"]
@@ -72,8 +73,7 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol: must be finite and > 0, got {self.tol!r}")
+        require_tol(self.tol)
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_COUNT:

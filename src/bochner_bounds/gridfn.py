@@ -31,8 +31,9 @@ tolerance is absolute, so the method and the integrals are homogeneous in
 t: nodes 2^k t give 2^k times the integrals on t.
 
 :func:`gridfunction_to_dict` and :func:`gridfunction_from_dict` are the wire
-form ``{a, b, nodes, values, interp}``.  Both go through the array codec of
-:mod:`.jsonio`, whole arrays at a time, so decoding applies its number rule
+form ``{a, b, nodes, values, interp}``, with ``nodes`` and ``values`` as
+float64 arrays (``values`` of shape (n, d, 2), ``[re, im]`` pairs) for
+:func:`.jsonio.dumps`.  Decoding applies the number rule of :mod:`.jsonio`
 (JSON numbers, ``[re, im]`` pairs of two, one row width d >= 1).
 """
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import pow2_scaled, row_norms, row_sums
-from .jsonio import decode_floats, decode_pairs, encode_pairs
+from .jsonio import decode_floats, decode_pairs
 
 __all__ = [
     "Interval",
@@ -275,12 +276,16 @@ def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> floa
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:
-    """JSON-ready dict with the wire field names {a, b, nodes, values, interp}."""
+    """The wire fields {a, b, nodes, values, interp}, ready for :func:`.jsonio.dumps`.
+
+    ``nodes`` and ``values`` are copy-free float64 views of ``f``'s arrays
+    (``json.dumps`` needs their ``.tolist()``).
+    """
     return {
         "a": float(f.interval.a),
         "b": float(f.interval.b),
-        "nodes": f.nodes.tolist(),
-        "values": encode_pairs(f.values),
+        "nodes": f.nodes,
+        "values": f.values.view(float).reshape(*f.values.shape, 2),
         "interp": f.interpolation,
     }
 

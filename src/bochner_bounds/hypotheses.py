@@ -63,6 +63,7 @@ __all__ = [
     "window",
     "ConditionReport",
     "check",
+    "require_tol",
     "mforms_agree",
     "estimate_unit_vector",
     "estimate_K",
@@ -76,6 +77,12 @@ __all__ = [
 
 UNIT_TOL = 1e-12
 DEFAULT_CHECK_TOL = 1e-9
+
+
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless the tolerance ``tol`` is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol: must be finite and > 0, got {tol!r}")
 
 
 def _require_unit(e, name: str) -> np.ndarray:
@@ -434,8 +441,7 @@ def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> Con
     worst point resolve to the smallest t.  Raises ValueError if ``tol`` is
     not finite and > 0, or if the worst slack is not finite.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol: must be finite and > 0, got {tol!r}")
+    require_tol(tol)
     dim = hypothesis_dim(h)
     if dim != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={dim}")

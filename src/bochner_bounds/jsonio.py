@@ -74,17 +74,19 @@ json's own message.
 Encoding.  :func:`encode_pairs` is the inverse of :func:`decode_pairs` and
 returns plain lists.  :func:`dumps` fixes every float at 17 significant
 digits (``json.dumps`` would leave it to ``repr``), so that identical inputs
-produce byte-identical output files.  A rectangular nested list of finite
-``float`` leaves is rendered with one ``%`` on a template built from its
-shape; everything else is rendered item by item, with the same bytes.  If
-the nest's top-level rows all equal the first bit for bit (a witness's
-``values`` do), only the first row is formatted and its text is repeated,
-again with the same bytes: ``0.0`` and ``-0.0`` count as different rows,
-as their texts differ.  Dict keys keep insertion order (the schemas fix
-it).  Negative zero is written ``-0.0``, which ``json.load`` reads back as
-a signed float (``-0`` would be the integer 0).  :func:`dumps_csv` writes
-the scalar fields of a report as a CSV header and row, with the same
-numbers.
+produce byte-identical output files.  A float64 ndarray (the function
+arrays of :func:`~.gridfn.gridfunction_to_dict`) is rendered as its
+``.tolist()`` would be, with one ``%`` on a template built from its shape;
+lists, tuples and other arrays are rendered item by item, with the same
+bytes.  If the array's top-level rows all have the first row's bits (a
+witness's ``values`` do), only the first row is formatted and its text is
+repeated, again with the same bytes: the rows are compared as ``uint64``,
+so ``0.0`` and ``-0.0`` differ, as their texts do.  A non-finite entry is
+refused with the message a non-finite float gets.  Dict keys keep
+insertion order (the schemas fix it).  Negative zero is written ``-0.0``,
+which ``json.load`` reads back as a signed float (``-0`` would be the
+integer 0).  :func:`dumps_csv` writes the scalar fields of a report as a
+CSV header and row, with the same numbers.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ import json
 import math
 import re
 import warnings
-from array import array
 from itertools import chain
 
 import numpy as np
@@ -396,42 +397,25 @@ def encode_pairs(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _float_tensor(obj: list) -> str | None:
-    """``obj`` rendered by one template if it is a rectangular nest of finite floats.
+def _float_array(a: np.ndarray) -> str:
+    """The float64 array ``a`` of rank >= 1 rendered by one template built from its shape.
 
-    If every top-level row equals the first bit for bit, only the first row
-    is formatted and its text repeated, which gives the same bytes.
+    If every top-level row has the first row's bits, only the first row is
+    formatted and its text repeated, which gives the same bytes.
     """
-    level, shape = [obj], []
-    while True:
-        kinds = set(map(type, level))
-        if kinds == {float}:
-            break
-        if kinds != {list}:
-            return None
-        widths = set(map(len, level))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        shape.append(widths.pop())
-        level = list(chain.from_iterable(level))
-    rows = shape[0]
-    first = level[:len(level) // rows]
-    # == stops at the first row that differs; it takes -0.0 for 0.0, and
-    # only a row with a zero needs its bits compared as well
-    if rows > 1 and first * rows == level and (
-            0.0 not in first or array("d", first).tobytes() * rows == array("d", level).tobytes()):
-        shape[0], level = 1, first
+    rows = a.shape[0]
+    bits = a.view(np.uint64)
+    if rows > 1 and (bits == bits[:1]).all():
+        return "[" + ", ".join([_float_array(a[:1])[1:-1]] * rows) + "]"
     template = "%.17g"
-    for width in reversed(shape):
+    for width in reversed(a.shape):
         template = "[" + ", ".join([template] * width) + "]"
-    text = template % tuple(level)
+    text = template % tuple(a.ravel().tolist())
     # "%.17g" writes only digits, signs, "." and "e", except "inf" and "nan"
-    if "n" in text:
-        return None
-    # it writes a negative zero as "-0" (then "," or "]"); scan only if f has a zero
-    if 0.0 in level:
-        text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
-    return text if shape[0] == rows else "[" + ", ".join([text[1:-1]] * rows) + "]"
+    if "n" in text:  # the first one in the order of .tolist()
+        raise ValueError(f"cannot serialize non-finite number {float(a[~np.isfinite(a)][0])!r}")
+    # it writes a negative zero as "-0", then "," or "]"
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
 def _render(obj, parts: list) -> None:
@@ -448,16 +432,16 @@ def _render(obj, parts: list) -> None:
                 raise ValueError(f"{key}: {exc}") from None
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
-        text = _float_tensor(obj) if type(obj) is list else None
-        if text is not None:
-            parts.append(text)
-            return
         parts.append("[")
         for i, val in enumerate(obj):
             if i:
                 parts.append(", ")
             _render(val, parts)
         parts.append("]")
+    elif type(obj) is np.ndarray and obj.dtype == float and obj.ndim:
+        parts.append(_float_array(obj))
+    elif isinstance(obj, np.ndarray):  # 0-d or another dtype: as its .tolist()
+        _render(obj.tolist(), parts)
     elif isinstance(obj, (bool, np.bool_)):
         parts.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):

@@ -133,29 +133,30 @@ def perturb_scan(
     fixed, which preserves equality (gaps stay at quadrature noise).  The
     perturbed function keeps ``w``'s nodes and interpolation.  A
     perturbation that would leave the hypothesis class raises ValueError
-    naming the violated condition.
+    naming the violated condition; a bad ``mode`` or epsilon, before the first
+    certification.
     """
+    if mode not in ("phase", "amplitude"):
+        raise ValueError(f"mode: unknown perturbation mode {mode!r}")
+    epsilons = sorted(float(e) for e in epsilons)
+    for eps in epsilons:
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"epsilons: must be finite and >= 0, got {eps!r}")
+        if mode == "amplitude" and eps >= 1.0:
+            raise ValueError(f"epsilons: amplitude modulation {eps!r} >= 1 would let the modulus "
+                             "reach zero and flip the direction out of the hypothesis class")
     a, b = w.interval.a, w.interval.b
     s = (w.nodes - a) / (b - a)
     out = []
-    for eps in sorted(float(e) for e in epsilons):
-        if eps < 0:
-            raise ValueError("epsilons must be >= 0")
+    for eps in epsilons:
         if mode == "phase":
             phases = np.exp(1j * eps * (s - 0.5))
             values = w.values * phases[:, None]
             h_eps = _widened(h, eps) if eps > 0 else h
-        elif mode == "amplitude":
-            if eps >= 1.0:
-                raise ValueError(
-                    f"amplitude modulation {eps!r} >= 1 would let the modulus reach zero "
-                    "and flip the direction out of the hypothesis class"
-                )
+        else:
             amp = 1.0 + eps * np.sin(2.0 * math.pi * s)
             values = w.values * amp[:, None]
             h_eps = h
-        else:
-            raise ValueError(f"unknown perturbation mode {mode!r}")
         f_eps = GridFunction(w.interval, w.nodes, values, w.interpolation)
         report = certify(f_eps, h_eps, rule)
         if not report.hypothesis_verified:

@@ -176,6 +176,14 @@ def test_karamata_equality_characterization():
     assert not equality_holds(report)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_equality_holds_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    report = certify(constant([0.6 + 0.8j]), UnitVector(E1, 0.6, 0.8))
+    assert equality_holds(report)
+    with pytest.raises(ValueError, match=rf"^tol: must be finite and > 0, got {tol!r}$"):
+        equality_holds(report, tol)
+
+
 def test_karamata_vs_cone_examples():
     base, cone = karamata_vs_cone(math.pi / 6, math.pi / 3)
     assert base == pytest.approx(0.5)

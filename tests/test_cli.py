@@ -510,6 +510,15 @@ def test_render_table_single_row_and_empty():
         render_table([])
 
 
+def test_render_table_refuses_an_infinite_tol(capsys):
+    assert main(["certify", "--input", str(INPUTS / "failing_unit_vector.json")]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["gap"] > 0.4 and doc["equality_residual"] > 1.4
+    assert render_table([doc]).splitlines()[1].endswith("no")
+    with pytest.raises(ValueError, match=r"^tol: must be finite and > 0, got inf$"):
+        render_table([doc], math.inf)
+
+
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-10, 10), st.floats(-2, 2, allow_nan=False), st.text(max_size=8)
 )

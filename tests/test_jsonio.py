@@ -6,16 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bochner_bounds.gridfn import gridfunction_from_dict, gridfunction_to_dict
-from bochner_bounds.jsonio import decode_floats, decode_pairs, dumps, encode_pairs
+from bochner_bounds.gridfn import GridFunction, Interval, gridfunction_from_dict, gridfunction_to_dict
+from bochner_bounds.jsonio import ArrayDecoder, decode_floats, decode_pairs, dumps, encode_pairs
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                -1.7976931348623157e308, 0.1, 1e16, 123456789.123456789]
 
 
 def per_item_render(obj, parts: list) -> None:
-    """The renderer before the array-at-a-time branch: one call per item."""
-    if isinstance(obj, dict):
+    """The renderer before the array-at-a-time branch: one call per item, an ndarray as its .tolist()."""
+    if isinstance(obj, np.ndarray):
+        per_item_render(obj.tolist(), parts)
+    elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
@@ -88,6 +90,23 @@ def float_tensors(draw, leaves=finite_floats):
     return np.array(flat, dtype=object).reshape(shape).tolist()
 
 
+@st.composite
+def float_arrays(draw, leaves=finite_floats):
+    """float64 arrays of every kind that :func:`dumps` tells apart.
+
+    :func:`float_tensors` as arrays, as they are or as the strided views
+    ``a[::2]`` and ``a.T``; arrays with a zero-length axis; 0-d arrays.
+    """
+    kind = draw(st.sampled_from(["as is", "a[::2]", "a.T", "zero-length axis", "0-d"]))
+    if kind == "0-d":
+        return np.array(draw(leaves))
+    if kind == "zero-length axis":
+        return np.zeros(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
+            lambda shape: 0 in shape)))
+    a = np.array(draw(float_tensors(leaves)), dtype=float)
+    return {"as is": a, "a[::2]": a[::2], "a.T": a.T}[kind]
+
+
 scalars = st.one_of(
     floats,
     st.integers(-(2**70), 2**70),
@@ -97,7 +116,7 @@ scalars = st.one_of(
     floats.map(np.float64),
 )
 trees = st.recursive(
-    st.one_of(scalars, float_tensors(), float_tensors(floats)),
+    st.one_of(scalars, float_tensors(), float_tensors(floats), float_arrays(), float_arrays(floats)),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
@@ -113,6 +132,12 @@ trees = st.recursive(
 @example([[-0.0, 1.0], [0.0, 1.0]])
 @example([-0.0, 0.0, -0.0])
 @example([[], np.float64(0.0)])
+@example(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+@example(np.array([[-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+@example(np.array([[0.0, -0.0], [0.0, -0.0]]).T)
+@example([np.array(-0.0), np.zeros((2, 0)), np.zeros((0, 3))])
+@example({"values": np.array([[1.0, 0.5], [math.inf, 0.5]])})
+@example({"values": np.array([[math.nan, 0.5]] * 3)})
 def test_dumps_matches_the_per_item_renderer(tree):
     assert outcome(dumps, tree) == outcome(per_item_dumps, tree)
 
@@ -222,3 +247,35 @@ def function_texts(draw):
 @given(function_texts())
 def test_function_document_round_trip_is_byte_exact(text):
     assert dumps(gridfunction_to_dict(gridfunction_from_dict(json.loads(text)))) == text
+
+
+@st.composite
+def grid_functions(draw):
+    """Functions on 2 to 6 nodes with d = 1 to 4.
+
+    Half of them repeat one row, each copy with the signs of its zeros
+    flipped or not.  ``finite_floats`` draws -0.0 and subnormals.
+    """
+    span_floats = finite_floats.filter(lambda x: abs(x) < 1e300)  # no overflow in np.diff(nodes)
+    nodes = sorted(set(draw(st.lists(span_floats, min_size=2, max_size=6))))
+    if len(nodes) < 2:
+        nodes = [-0.0, 5e-324]
+    n, d = len(nodes), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        row = draw(st.lists(finite_floats, min_size=2 * d, max_size=2 * d))
+        flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        flat = [-x if flip and x == 0 else x for flip in flips for x in row]
+    else:
+        flat = draw(st.lists(finite_floats, min_size=2 * n * d, max_size=2 * n * d))
+    values = np.array(flat).view(complex).reshape(n, d)
+    return GridFunction(Interval(nodes[0], nodes[-1]), nodes, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_functions())
+def test_function_arrays_read_back_with_their_bits(f):
+    wire = gridfunction_to_dict(f)
+    back = json.loads(dumps({"function": wire}), cls=ArrayDecoder)["function"]
+    for key in ("nodes", "values"):
+        assert type(back[key]) is np.ndarray and back[key].shape == wire[key].shape
+        assert np.array_equal(back[key].view(np.uint64), wire[key].view(np.uint64))

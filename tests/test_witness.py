@@ -163,6 +163,24 @@ def test_scan_errors_when_perturbation_leaves_the_class():
         perturb_scan(unit_w, UnitVector(E1, 1.0, 0.0), [1.0], mode="amplitude")
 
 
+@pytest.mark.parametrize(
+    "epsilons, mode, message",
+    [
+        ([], "bogus", r"^mode: unknown perturbation mode 'bogus'$"),
+        ([0.1], "bogus", r"^mode: unknown perturbation mode 'bogus'$"),
+        ([0.1, math.nan], "phase", r"^epsilons: must be finite and >= 0, got nan$"),
+        ([0.1, math.inf], "amplitude", r"^epsilons: must be finite and >= 0, got inf$"),
+        ([0.0, -0.1], "phase", r"^epsilons: must be finite and >= 0, got -0.1$"),
+        ([0.1, 1.0], "amplitude", r"^epsilons: amplitude modulation 1.0 >= 1 "),
+    ],
+)
+def test_scan_checks_its_arguments_before_it_certifies(monkeypatch, epsilons, mode, message):
+    w = make_witness(UNIT_SURFACE)
+    monkeypatch.setattr(witness, "certify", lambda *args: pytest.fail("certified"))
+    with pytest.raises(ValueError, match=message):
+        perturb_scan(w, UNIT_SURFACE, epsilons, mode=mode)
+
+
 def test_gen_cone_is_deterministic_and_sound():
     spec = FamilySpec(Cone(0.2, 1.0), seed=42, nodes=33)
     f1 = generate(spec)
