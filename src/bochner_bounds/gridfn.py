@@ -87,9 +87,9 @@ class QuadratureRule:
 
     def __post_init__(self):
         if self.kind not in ("trapezoid-on-nodes", "composite-simpson"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
+            raise ValueError(f"kind: unknown quadrature kind {self.kind!r}")
         if self.refinement < 1:
-            raise ValueError("refinement must be >= 1")
+            raise ValueError(f"refinement: must be >= 1, got {self.refinement}")
 
 
 DEFAULT_RULE = QuadratureRule()

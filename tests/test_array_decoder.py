@@ -9,8 +9,11 @@ strtold read, where long double has 64 bits or more, and the flat json
 read that every platform has.
 """
 
+import itertools
 import json
 import math
+import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -406,16 +409,68 @@ def test_zeros_of_both_signs_need_no_json_read(strtold, monkeypatch):
                                            False] * 1000
 
 
-@pytest.mark.skipif(not jsonio._STRTOLD_READ, reason="the strtold read does not run here")
 def test_every_number_on_a_piece_edge(monkeypatch):
-    """Pieces of one number each: every check and every json read sits at a piece edge."""
-    monkeypatch.setattr(jsonio, "_PIECE", 1)
+    """Pieces of one number each, of a few and of many: checks and json reads at piece edges."""
     good = [t for t in EDGE_NUMBERS if accepted_in_bulk(t)]
     good += midpoint_texts([0.0, 1.0, 5e-324, 1e300])
-    assert bulk_read(doc_text(values=values_with(good))) == ["nodes", "values"]
-    for bad in ("01", "-01", "1.", ".5", "+1", "1 2"):
-        for at in (0, 1, len(good) - 1):
-            assert bulk_read(doc_text(values=values_with(good[:at] + [bad] + good[at:]))) == []
+    paths = (True, False) if jsonio._STRTOLD_READ else (False,)
+    for strtold, piece in itertools.product(paths, (1, 7, 4096)):
+        monkeypatch.setattr(jsonio, "_STRTOLD_READ", strtold)
+        monkeypatch.setattr(jsonio, "_PIECE", piece)
+        assert bulk_read(doc_text(values=values_with(good))) == ["nodes", "values"]
+        for bad in ("01", "-01", "1.", ".5", "+1", "1 2"):
+            for at in (0, 1, len(good) - 1):
+                assert bulk_read(doc_text(values=values_with(good[:at] + [bad] + good[at:]))) == []
+
+
+@pytest.mark.parametrize("piece", [1, 7, 4096])
+def test_an_indented_document_reads_in_bulk(piece, strtold, monkeypatch):
+    """``json.dumps(doc, indent=1)``: pieces start with newlines and end among brackets."""
+    monkeypatch.setattr(jsonio, "_PIECE", piece)
+    doubles = random_doubles(np.random.default_rng(20), 400)
+    doc = json.loads(doc_text(values=values_with(list(map(repr, doubles)))))
+    assert bulk_read(json.dumps(doc, indent=1)) == ["nodes", "values"]
+
+
+def test_midpoints_where_the_pre_test_does_not_apply(strtold, monkeypatch):
+    """Midpoints whose distance to the nearest double is no normal double, and past DBL_MAX."""
+    tiny, top = 2.0 ** -1022, sys.float_info.max
+    doubles = [tiny - 1e-323, tiny - 5e-324, tiny, math.nextafter(tiny, 1.0),
+               math.nextafter(top, 0.0)]
+    for k in range(-969, -959):
+        doubles += [math.nextafter(2.0 ** k, 0.0), 2.0 ** k, 1.5 * 2.0 ** k]
+    doubles += [-x for x in doubles]
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        past_top = Decimal(top) + Decimal(2) ** 970  # halfway to 2**1024
+        # as floats, which json reads as infinities (an integer there overflows)
+        past_tops = ["%s.0" % past_top, "%s.0" % -past_top]
+    midpoints = midpoint_texts(doubles) + past_tops
+    text = doc_text(values=values_with(midpoints + ["1e5000", "-1e5000"]))
+    assert bulk_read(text) == ["nodes", "values"]
+    # every midpoint is read again, and so is every number that rounds to an infinity
+    assert len(json_reads(monkeypatch, text)) == (len(midpoints) + 2 if strtold else 0)
+    neighbours = doc_text(values=values_with(last_digit_neighbours(midpoints)))
+    assert bulk_read(neighbours) == ["nodes", "values"]
+
+
+def test_the_read_holds_pieces_and_the_skeleton_not_copies_of_the_text(strtold, monkeypatch):
+    """Past the arrays it returns, the read's peak memory is a few pieces and the skeleton."""
+    monkeypatch.setattr(jsonio, "_PIECE", 1 << 12)
+    n = 20_000
+    doc = json.loads(doc_text())
+    doc["function"].update(nodes=np.linspace(0.0, 1.0, n),
+                           values=np.random.default_rng(21).standard_normal((n, 1, 2)))
+    text = jsonio.dumps(doc)
+    tracemalloc.start()
+    try:
+        function = json.loads(text, cls=ArrayDecoder)["function"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = function["nodes"].nbytes + function["values"].nbytes
+    # the skeleton keeps one code of each bracket, comma and number: under a sixth of the text
+    assert peak - arrays <= 16 * jsonio._PIECE + len(text) // 6
 
 
 @pytest.mark.parametrize("where", ["values", "hypothesis K"])

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -22,7 +23,8 @@ from bochner_bounds.gridfn import Interval, sample
 from bochner_bounds.hypotheses import Cone, Karamata
 from bochner_bounds.jsonio import dumps
 
-INPUTS = Path(__file__).resolve().parents[1] / "inputs"
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "inputs"
 
 SCHEMA = "bochner-bounds/1"
 
@@ -398,6 +400,30 @@ def test_usage_errors_and_unread_flags_exit_1(capsys):
         main(["certify", "-h"])
     assert exc.value.code == 0
     assert "--quad-refine" in capsys.readouterr().out
+
+
+def test_op_cost_prints_the_cost_of_one_command(capsys):
+    spec = importlib.util.spec_from_file_location("op_cost", ROOT / "scripts" / "op_cost.py")
+    op_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(op_cost)
+    argv = ["certify", "--input", str(INPUTS / "cone_pi6_pi3.json")]
+    assert op_cost.main(["--runs", "3"] + argv) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head == "runs 3, exit status 0: " + " ".join(argv)
+    assert [row.split()[0] for row in rows] == ["wall_ms", "user_ms", "sys_ms", "minflt"]
+    assert all(float(row.split()[1]) >= 0 for row in rows)
+    assert op_cost.main(["--runs", "2", "certify", "--input", str(INPUTS / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: input: cannot read ")
+
+
+@pytest.mark.parametrize("command, name", [("certify", "cone_pi6_pi3.json"),
+                                           ("integrate", "cone_pi6_pi3.json"),
+                                           ("bench", "bench_cone.json")])
+@pytest.mark.parametrize("refine", ["0", "-3"])
+def test_a_refinement_below_1_names_its_field(command, name, refine, capsys):
+    assert main([command, "--input", str(INPUTS / name), "--quad-refine", refine]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: refinement: must be >= 1, got {refine}\n"
 
 
 def test_witness_round_trip_through_files(tmp_path, capsys):

@@ -46,6 +46,13 @@ def test_interval_requires_a_less_than_b():
         Interval(1.0, 1.0)
 
 
+def test_quadrature_rule_refusals_name_their_field():
+    with pytest.raises(ValueError, match=r"^kind: unknown quadrature kind 'x'$"):
+        QuadratureRule("x")
+    with pytest.raises(ValueError, match=r"^refinement: must be >= 1, got 0$"):
+        QuadratureRule(refinement=0)
+
+
 def test_evaluate_constant_grid():
     f = constant([0.0, 1.0 + 1j])
     assert np.allclose(evaluate_many(f, [0.3]), [[0.0, 1.0 + 1j]])
