@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import DEFAULT_RULE, GridFunction, QuadratureRule, integrate_norm, integrate_vector
-from .hilbert import norm
+from .hilbert import combinations, norm, row_sums
 from .hypotheses import DEFAULT_CHECK_TOL, Cone, Hypothesis, check, family_form, require_tol, tag_of
 from .jsonio import encode_pairs
 
@@ -53,17 +53,16 @@ __all__ = [
 def coefficient(h: Hypothesis) -> float:
     """Closed-form lower-bound coefficient sqrt(sum k_j^2 + h_j^2) (unclamped)."""
     _, ks, hs = family_form(h)
-    # builtin sum: left to right for any n, unlike numpy's blocked pairwise sum
-    return math.sqrt(sum(ks * ks + hs * hs))
+    return math.sqrt(row_sums(ks * ks + hs * hs))
 
 
 def equality_direction(h: Hypothesis) -> np.ndarray:
     """Predicted value of (integral f) / (integral ||f||) in the equality case.
 
-    ``sum_j (k_j + i h_j) e_j``, summed row by row in a fixed order.
+    ``sum_j (k_j + i h_j) e_j``, in real arithmetic by :func:`~.hilbert.combinations`.
     """
     vectors, ks, hs = family_form(h)
-    return ((ks + 1j * hs)[:, None] * vectors).sum(axis=0)
+    return combinations(ks, hs, vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +101,7 @@ def certify(
     true_norm = norm(vec)
     lower = coeff * norm_integral
     with np.errstate(invalid="ignore"):  # 0 * inf, for an integral past the float range
-        eq_vec = equality_direction(h) * norm_integral
+        eq_vec = (equality_direction(h).view(float) * norm_integral).view(complex)
     residual = norm(vec - eq_vec)
     return BoundReport(
         hypothesis_tag=tag_of(h),

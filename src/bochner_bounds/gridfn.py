@@ -26,9 +26,14 @@ the norm of the panel's midpoint, so the discrete triangle inequality
 
     ||integrate_vector(f)|| <= integrate_norm(f)
 
-holds structurally under every rule, not just up to quadrature error.  No
-tolerance is absolute, so the method and the integrals are homogeneous in
-t: nodes 2^k t give 2^k times the integrals on t.
+holds structurally for the exact values of both sides under every rule,
+not just up to quadrature error.  In floats both are sums in the order of
+:func:`~.hilbert.row_sums`, on every CPU the same, each within a few ulps
+times log2 of the node count; the float inequality can fail only where the
+exact one is that tight, as for a constant function.  No tolerance is
+absolute, so the integrals are homogeneous in t (nodes 2^k t give 2^k times
+the integrals on t) and in f: their terms are summed in one power-of-two
+scale, so 2^k f gives exactly 2^k times them wherever all are normal floats.
 
 :func:`gridfunction_to_dict` and :func:`gridfunction_from_dict` are the wire
 form ``{a, b, nodes, values, interp}``, with ``nodes`` and ``values`` as
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import pow2_scaled, row_norms, row_sums
+from .hilbert import pow2_exponents, pow2_scaled, row_norms, row_sums
 from .jsonio import decode_floats, decode_pairs
 
 __all__ = [
@@ -227,17 +232,22 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     :func:`~bochner_bounds.hilbert.pow2_scaled`, so no square under- or
     overflows.
     """
-    (a, b), exp = pow2_scaled(x0, x1)
-    mid = 0.5 * a + 0.5 * b
+    with np.errstate(over="ignore"):  # a panel integral past the float range is inf
+        return np.ldexp(*_scaled_panel_norm_integrals(x0, x1))
+
+
+def _scaled_panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`panel_norm_integrals` as (I_k / 2^e_k, e_k), each panel in its own scale."""
+    (a, b), exp = pow2_scaled(x0, x1)  # C^d as R^2d: Re<x, y> is the dot product
     na, nb = row_norms(a), row_norms(b)
+    mid = 0.5 * a + 0.5 * b
     n0, n_sum = np.minimum(na, nb), na + nb
-    # C^d as R^2d: Re<x, y> is the dot product of the float views
-    v = b.view(float) - a.view(float)
+    v = b - a
     length = row_norms(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = v / length[:, None]
-        pm = row_sums(mid.view(float) * u)  # (p0 + p1) / 2 before orienting
-        h2 = np.square(row_norms(mid.view(float) - pm[:, None] * u))
+        pm = row_sums(mid * u)  # (p0 + p1) / 2 before orienting
+        h2 = np.square(row_norms(mid - pm[:, None] * u))
         pm = np.abs(pm)
         p0 = pm - length / 2.0
         base = np.where(p0 >= 0, p0 + n0, h2 / (n0 - p0))
@@ -250,29 +260,39 @@ def panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
             log1p[far] = np.log(num[far]) - np.log(den[far])
         log_term = np.where(base > 0, h2 / (2.0 * length) * log1p, 0.0)
         exact = np.where(length > 0, n_sum / 4.0 + pm * pm / n_sum + log_term, na)
-    with np.errstate(over="ignore"):  # a panel integral past the float range is inf
-        return np.ldexp(np.maximum(exact, row_norms(mid)), exp)
+    return np.maximum(exact, row_norms(mid)), exp
 
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
-    """Componentwise integral of f under ``rule``."""
+    """Componentwise integral of f under ``rule``, with all values in one power-of-two scale."""
     w = _node_weights(f.nodes, _method(f, rule))
-    return w @ f.values[: w.size]
+    values = f.values[: w.size]
+    return _summed(w, values.view(float).T, 0, pow2_exponents(values.ravel())).view(complex)
 
 
 def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Integral of ||f(t)|| under ``rule``; nonnegative.
 
     No square under- or overflows: each node (rules on the nodes) or panel
-    (the model rule) is scaled by its own power of two, :func:`~.hilbert.pow2_scaled`.
+    (the model rule) is scaled by its own power of two, :func:`~.hilbert.pow2_scaled`,
+    and the terms are summed in the largest one's scale.
     """
     method = _method(f, rule)
     if method == "model":
-        return float(np.diff(f.nodes) @ panel_norm_integrals(f.values[:-1], f.values[1:]))
-    w = _node_weights(f.nodes, method)
-    (scaled,), exp = pow2_scaled(f.values[: w.size])
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return float(w @ np.ldexp(row_norms(scaled), exp))
+        w = np.diff(f.nodes)
+        terms, exp = _scaled_panel_norm_integrals(f.values[:-1], f.values[1:])
+    else:
+        w = _node_weights(f.nodes, method)
+        (scaled,), exp = pow2_scaled(f.values[: w.size])
+        terms = row_norms(scaled)
+    return float(_summed(w, terms, exp, np.max(exp)))
+
+
+def _summed(w: np.ndarray, terms: np.ndarray, exp, top) -> np.ndarray:
+    """``sum_k w_k terms_k 2^exp_k`` along the last axis, by row_sums at the scale 2^top."""
+    with np.errstate(over="ignore"):  # an integral past the float range is inf
+        # C order: a transposed ``terms`` is laid out for row_sums in the same pass
+        return np.ldexp(row_sums(w * np.ldexp(terms, exp - top, order="C")), top)
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:

@@ -8,22 +8,12 @@ sum(u_j * conj(v_j))``, so that ``Re inner(f, 1j*e) == Im inner(f, e)``.
 function value or an integral is of a row scaled by its own power of two,
 scaled back, which is exact in the normal range and keeps squares in range.
 
-The row kernels :func:`row_sums`, :func:`row_norms` and the per-row peak of
-:func:`pow2_exponents` are the one place that fixes the order in which the
-entries of a row are combined.  They give numpy's own ``axis=-1``
-reductions bit for bit, but as a few passes over whole columns instead of
-one numpy inner loop per row of 2-8 floats.  The short-axis row reductions
-of the package go through them, except four in
-:mod:`~bochner_bounds.hypotheses`:
-
-* in ``_slacks``, the cone norms (an ``einsum``) and the projections
-  ``x @ c`` (a BLAS dot);
-* in ``mforms_agree``, the complex row sums (``np.sum``);
-* in ``_least_cosines``, the projections on the rows (a BLAS product).
-
-The two BLAS reductions take the summation order of the BLAS kernel in
-use, so their last bits may differ with the CPU, the BLAS build and its
-thread count (ROADMAP item 3).
+:func:`row_sums` is the package's one summation order.  Every sum that
+feeds a report goes through it, in real arithmetic on the float view of
+C^d as R^2d, with no complex product and no BLAS, so report bytes do not
+depend on the CPU, the BLAS build or its thread count.  The Gram check of
+:class:`OrthonormalFamily` and ``hypotheses.mforms_agree`` keep BLAS and
+complex products: they only compare against a tolerance.
 """
 
 from __future__ import annotations
@@ -38,6 +28,8 @@ __all__ = [
     "norm",
     "row_sums",
     "row_norms",
+    "projections",
+    "combinations",
     "pow2_exponents",
     "pow2_scaled",
     "OrthonormalFamily",
@@ -63,51 +55,69 @@ def inner(u, v) -> complex:
     v = as_vector(v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    return complex(np.sum(u * np.conj(v)))
-
-
-_FEW_ROWS = 256  # fewer rows than this: numpy's per-row loops beat one pass per column
+    return complex(*projections(u, np.array([v, 1j * v])))  # Im<u, v> = Re<u, i v>
 
 
 def row_sums(s) -> np.ndarray:
-    """Sum of each row of the real 2-D array ``s``: ``np.add.reduce(s, axis=-1)`` bit for bit.
+    """Sum along the last axis of the real array ``s``, in the pairwise order.
 
-    Where a row's entries lie nearer each other in memory than its rows
-    (C order, or a view of it such as ``.real``), numpy adds to 0.0 the
-    pairwise sum of each row: left to right for fewer than 8 entries, and
-    ``((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7))`` for 8.  Otherwise (Fortran
-    order) it adds the columns to 0.0 left to right.  Rows of up to 8
-    entries are summed here in the same order with one vectorized pass per
-    column, where numpy runs one inner loop per row.  Fewer than
-    ``_FEW_ROWS`` rows, where those inner loops cost less, and rows of more
-    than 8 entries (the package's widest are d = 4 complex entries as 8
-    floats) go to numpy.
+    The pairwise order of n terms: left to right for n < 8; for n <= 128,
+    eight running sums (term i into sum i mod 8) combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the last n mod 8 terms
+    left to right; for more, the sums of the first n2 terms (n/2 rounded
+    down to a multiple of 8) and of the rest, added.  The total is added to
+    0.0, so it is never -0.0.  That is ``np.add.reduce`` along a contiguous
+    axis, which sums rows of more than 8 terms; shorter rows are summed with
+    one pass per column, contiguous in a Fortran layout.  No layout changes
+    the bits.
     """
     s = np.asarray(s)
-    rows, n = s.shape
-    if rows < _FEW_ROWS or n > 8:
-        return np.add.reduce(s, axis=1)
-    if n < 8 or abs(s.strides[0]) < abs(s.strides[1]):  # left to right from 0.0
-        total = np.zeros(rows)
-        for col in s.T:
-            total += col
+    n = s.shape[-1]
+    if n > 8:
+        return np.add.reduce(np.ascontiguousarray(s), axis=-1)
+    c = np.moveaxis(s, -1, 0)
+    if n == 8:
+        total = (c[0] + c[1]) + (c[2] + c[3])
+        total += (c[4] + c[5]) + (c[6] + c[7])
+        total += 0.0
         return total
-    pairs = np.add(s[:, 0::2].T, s[:, 1::2].T, order="C")  # c0+c1, c2+c3, c4+c5, c6+c7
-    pairs[0::2] += pairs[1::2]
-    total = pairs[0] + pairs[2]
-    total += 0.0  # a row of -0.0 sums to 0.0
+    total = np.zeros(s.shape[:-1])
+    for col in c:
+        total += col
     return total
 
 
 def row_norms(x) -> np.ndarray:
-    """Euclidean norm of each row of the 2-D array ``x``: ``np.linalg.norm(x, axis=-1)`` bit for bit.
+    """Euclidean norm along the last axis of ``x``: the root of the :func:`row_sums` of its squares.
 
-    The squared modulus is numpy's ``(x.conj() * x).real``, whose complex
-    product may round a*a + b*b once (fused) rather than twice.
+    A complex ``x`` is taken as its float view, C^d as R^2d, so the squares
+    are ``a*a`` and ``b*b`` of each entry a + ib, in that order.
     """
-    x = np.asarray(x)
-    squares = (x.conj() * x).real if np.iscomplexobj(x) else x * x
-    return np.sqrt(row_sums(squares))
+    x = _floats(x)
+    return np.sqrt(row_sums(x * x))
+
+
+def projections(x, rows) -> np.ndarray:
+    """``Re<x_k, c_j>`` for each row c_j of the complex ``rows`` and x_k of ``x``, as one row per c_j.
+
+    ``x`` is complex or its float view, C^d as R^2d, in any layout; Re<x, c>
+    is the dot product of the float views, summed by :func:`row_sums`.
+    """
+    x = _floats(x)
+    return np.array([row_sums(x * c) for c in _floats(rows)])
+
+
+def combinations(re, im, rows) -> np.ndarray:
+    """``sum_j (re[k, j] + i im[k, j]) rows[j]`` for each k, in real arithmetic.
+
+    The real and imaginary parts of each product are formed apart, and each
+    is summed over j by :func:`row_sums`.
+    """
+    v = _floats(rows)
+    vr, vi = v[:, 0::2], v[:, 1::2]
+    re, im = np.asarray(re, dtype=float)[..., None], np.asarray(im, dtype=float)[..., None]
+    parts = [re * vr - im * vi, re * vi + im * vr]  # (k, j, entry)
+    return np.stack([row_sums(np.swapaxes(p, -2, -1)) for p in parts], axis=-1).view(complex)[..., 0]
 
 
 def pow2_exponents(*arrays) -> np.ndarray:
@@ -123,22 +133,26 @@ def pow2_exponents(*arrays) -> np.ndarray:
 
 
 def pow2_scaled(*arrays) -> tuple[list[np.ndarray], np.ndarray]:
-    """Scale row k of every complex array by 2^-e_k (:func:`pow2_exponents`), exactly.
+    """Scale row k of every complex array by 2^-e_k (:func:`pow2_exponents`), exactly, as floats.
 
     No square of a scaled entry under- or overflows, and a norm of scaled
-    rows times 2^e_k is the norm of the rows.  Returns (scaled arrays, e).
+    rows times 2^e_k is the norm of the rows.  Returns (the scaled arrays as
+    floats, C^d as R^2d, in Fortran layout, e).
     """
-    exp = pow2_exponents(*arrays)
-    return [np.ldexp(_floats(x), -exp).view(complex) for x in arrays], exp[..., 0]
+    # Fortran layout: the peaks, the scaling and the row kernels after them run along whole columns
+    floats = [np.asfortranarray(_floats(np.asarray(x, dtype=complex))) for x in arrays]
+    exp = pow2_exponents(*floats)
+    return [np.ldexp(x, -exp) for x in floats], exp[..., 0]
 
 
 def _floats(x) -> np.ndarray:
-    """``x`` as a contiguous complex array viewed as floats, C^d as R^2d."""
-    return np.ascontiguousarray(x, dtype=complex).view(float)
+    """A complex ``x`` as a contiguous array viewed as floats, C^d as R^2d; a real ``x`` as it is."""
+    x = np.asarray(x)
+    return np.ascontiguousarray(x).view(float) if np.iscomplexobj(x) else x
 
 
 def _row_peaks(x) -> np.ndarray:
-    """Largest |Re| or |Im| of each row of the complex array ``x``, kept as a column."""
+    """Largest |Re| or |Im| of each row of the complex array ``x`` (or its float view), kept as a column."""
     # column-major, the maximum runs over whole columns
     return np.maximum.reduce(np.abs(_floats(x), order="F"), axis=-1, keepdims=True)
 
@@ -146,13 +160,13 @@ def _row_peaks(x) -> np.ndarray:
 def norm(u) -> float:
     """Euclidean norm sqrt(inner(u, u).real), with no squares that under- or overflow.
 
-    ``np.linalg.norm`` of u scaled by :func:`pow2_scaled` as one row, scaled
-    back: its bits times a power of two, so ``np.linalg.norm(u)`` bit for
-    bit where no square of an entry of u under- or overflows.
+    :func:`row_norms` of u scaled by :func:`pow2_scaled` as one row, scaled
+    back: ``row_norms(u)`` bit for bit where no square of an entry of u
+    under- or overflows.
     """
     (scaled,), exp = pow2_scaled(as_vector(u))
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return float(np.ldexp(np.linalg.norm(scaled), exp))
+        return float(np.ldexp(row_norms(scaled), exp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +243,8 @@ def span_projection(x, fam: OrthonormalFamily) -> np.ndarray:
     x = as_vector(x)
     if x.size != fam.dim:
         raise ValueError(f"dimension mismatch: vector has {x.size}, family has {fam.dim}")
-    coeffs = fam.vectors.conj() @ x
-    return coeffs @ fam.vectors
+    v = fam.vectors
+    return combinations(projections(x, v), projections(x, 1j * v), v)
 
 
 def bessel_defect(x, fam: OrthonormalFamily) -> float:

@@ -44,7 +44,8 @@ from dataclasses import Field, dataclass, fields
 import numpy as np
 
 from .gridfn import GridFunction
-from .hilbert import OrthonormalFamily, as_vector, norm, pow2_exponents, pow2_scaled, row_norms
+from .hilbert import (OrthonormalFamily, as_vector, norm, pow2_exponents, pow2_scaled, projections,
+                      row_norms)
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -385,7 +386,7 @@ def _ball_slacks(values: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> 
     with np.errstate(over="ignore"):  # a distance past the float range is inf
         for c, r in zip(np.ascontiguousarray(centres, dtype=complex).view(float), radii):
             np.subtract(x, np.ldexp(c, shift, out=diff), out=diff)
-            slacks.append(r - np.ldexp(row_norms(diff.view(complex)), exp[:, 0]))
+            slacks.append(r - np.ldexp(row_norms(diff), exp[:, 0]))
     return slacks
 
 
@@ -414,14 +415,9 @@ def _slacks(values: np.ndarray, h: Hypothesis, interpolation: str = "linear") ->
     (cones, ks), (centres, radii) = constraints(h)
     slack = np.inf
     if ks.size:
-        (scaled,), exp = pow2_scaled(values)
-        x = scaled.view(float)  # C^d as R^2d
-        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-        cone = np.full(len(x), np.inf)
-        for c, k in zip(cones.view(float), ks):
-            re = x @ c  # Re<f, c> is the dot product of the float views
-            re -= k * norms
-            np.minimum(cone, re, out=cone)
+        (x,), exp = pow2_scaled(values)
+        norms = row_norms(x)
+        cone = np.min(projections(x, cones) - ks[:, None] * norms, axis=0)
         # a zero sup means f = 0 on the panel, where the slack is 0
         slack = np.minimum.reduce([np.divide(cone, sup, out=np.zeros_like(cone), where=sup > 0.0)
                                    for sup in _panel_sups(norms, exp, interpolation)])
@@ -491,7 +487,7 @@ def _least_cosines(f: GridFunction, rows: np.ndarray) -> np.ndarray:
     mask = norms > 0.0
     if not np.any(mask):
         raise ValueError("function vanishes at every checked point; no constants to estimate")
-    return np.min((values[mask] @ rows.conj().T).real / norms[mask, None], axis=0)
+    return np.min(projections(values[mask], rows) / norms[mask], axis=1)
 
 
 def estimate_unit_vector(f: GridFunction, e) -> tuple[float, float] | None:

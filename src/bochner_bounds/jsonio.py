@@ -99,8 +99,9 @@ arrays of :func:`~.gridfn.gridfunction_to_dict`) is rendered as its
 lists, tuples and other arrays are rendered item by item, with the same
 bytes.  If the array's top-level rows all have the first row's bits (a
 witness's ``values`` do), only the first row is formatted and its text is
-repeated, again with the same bytes: the rows are compared as ``uint64``,
-so ``0.0`` and ``-0.0`` differ, as their texts do.  A non-finite entry is
+used for every row, again with the same bytes: the rows are compared as
+``uint64``, so ``0.0`` and ``-0.0`` differ, as their texts do.  The pieces
+are joined once, into the one copy of the text.  A non-finite entry is
 refused with the message a non-finite float gets.  Dict keys keep
 insertion order (the schemas fix it).  Negative zero is written ``-0.0``,
 which ``json.load`` reads back as a signed float (``-0`` would be the
@@ -461,16 +462,17 @@ def encode_pairs(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _float_array(a: np.ndarray) -> str:
-    """The float64 array ``a`` of rank >= 1 rendered by one template built from its shape.
+def _float_array(a: np.ndarray) -> list:
+    """The float64 array ``a`` of rank >= 1 rendered by one template built from its shape, as pieces.
 
     If every top-level row has the first row's bits, only the first row is
-    formatted and its text repeated, which gives the same bytes.
+    formatted, and its text is one piece per row, which gives the same bytes.
     """
     rows = a.shape[0]
     bits = a.view(np.uint64)
     if rows > 1 and (bits == bits[:1]).all():
-        return "[" + ", ".join([_float_array(a[:1])[1:-1]] * rows) + "]"
+        row = _float_array(a[:1])[0][1:-1]
+        return ["[", *[row, ", "] * (rows - 1), row, "]"]
     template = "%.17g"
     for width in reversed(a.shape):
         template = "[" + ", ".join([template] * width) + "]"
@@ -479,7 +481,7 @@ def _float_array(a: np.ndarray) -> str:
     if "n" in text:  # the first one in the order of .tolist()
         raise ValueError(f"cannot serialize non-finite number {float(a[~np.isfinite(a)][0])!r}")
     # it writes a negative zero as "-0", then "," or "]"
-    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+    return [text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")]
 
 
 def _render(obj, parts: list) -> None:
@@ -503,7 +505,7 @@ def _render(obj, parts: list) -> None:
             _render(val, parts)
         parts.append("]")
     elif type(obj) is np.ndarray and obj.dtype == float and obj.ndim:
-        parts.append(_float_array(obj))
+        parts += _float_array(obj)
     elif isinstance(obj, np.ndarray):  # 0-d or another dtype: as its .tolist()
         _render(obj.tolist(), parts)
     elif isinstance(obj, (bool, np.bool_)):
@@ -528,7 +530,7 @@ def dumps(obj) -> str:
     """Render a document with 17-significant-digit numbers and a trailing newline."""
     parts: list = []
     _render(obj, parts)
-    return "".join(parts) + "\n"
+    return "".join(parts + ["\n"])  # the one copy of the whole text
 
 
 def dumps_csv(doc: dict) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
-from .hilbert import norm, row_norms, row_sums
+from .hilbert import combinations, norm, projections, row_norms, row_sums
 from .hypotheses import Cone, Hypothesis, check, constraints, family_form, tag_of, window
 
 __all__ = [
@@ -256,11 +256,11 @@ def _gen_soc(
     ray, which is returned with random radii.
     """
     n, dim = vectors.shape
-    budget = float(np.sum(lows_re ** 2) + np.sum(lows_im ** 2))
+    budget = float(row_sums(lows_re ** 2) + row_sums(lows_im ** 2))
     rng = _rng(seed)
     r = rng.uniform(rmin, rmax, nodes)
     if budget > 1.0 - 1e-9:
-        u = (lows_re + 1j * lows_im) @ vectors
+        u = combinations(lows_re, lows_im, vectors)
         return r[:, None] * u[None, :]
 
     def draw(batch):
@@ -269,11 +269,11 @@ def _gen_soc(
         return a + 1j * b, row_sums(a * a + b * b) <= 1.0
 
     coeffs = _rejection(draw, nodes)
-    vals = coeffs @ vectors
-    slack = np.sqrt(np.maximum(0.0, 1.0 - row_sums(np.abs(coeffs) ** 2)))
+    vals = combinations(coeffs.real, coeffs.imag, vectors)
+    slack = np.sqrt(np.maximum(0.0, 1.0 - row_sums(np.square(coeffs.view(float)))))
     if dim > n:
         g = rng.normal(size=(nodes, dim)) + 1j * rng.normal(size=(nodes, dim))
-        g -= (g @ vectors.conj().T) @ vectors
+        g -= combinations(projections(g, vectors).T, projections(g, 1j * vectors).T, vectors)
         nrm = row_norms(g)
         nrm[nrm == 0] = 1.0
         g /= nrm[:, None]
@@ -287,7 +287,7 @@ def _gen_inner_ball(seed: int, centers: np.ndarray, radii: np.ndarray, nodes: in
     Uses the centroid of the constraint centers; fails if no inscribed ball
     of positive radius exists there.
     """
-    v = np.mean(centers, axis=0)
+    v = (row_sums(centers.view(float).T) / len(centers)).view(complex)
     slack = radii - row_norms(centers - v)
     delta = float(np.min(slack))
     if delta <= 0.0:
@@ -380,7 +380,7 @@ def tightness(
             violations += 1
     return TightnessStats(
         trials=trials,
-        mean_ratio=float(np.mean(ratios)),
+        mean_ratio=float(row_sums(ratios) / trials),
         min_ratio=float(np.min(ratios)),
         max_ratio=float(np.max(ratios)),
         violations=violations,

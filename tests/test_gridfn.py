@@ -22,6 +22,7 @@ from bochner_bounds.gridfn import (
     sample,
 )
 from bochner_bounds.hypotheses import Cone
+from summation import floats, pairwise_sum, row_norm
 
 ON_NODE_SIMPSON = QuadratureRule("composite-simpson", refinement=1)
 TRAPEZOID = QuadratureRule("trapezoid-on-nodes", refinement=1)
@@ -202,11 +203,17 @@ def test_trapezoid_weights_match_the_panel_loop(f, jitter):
         step = np.full(2, nodes[k + 1] - nodes[k])
         step[0] = step[-1] = step[0] / 2.0
         w[k : k + 2] += step
-    assert np.array_equal(integrate_vector(g, TRAPEZOID), w @ g.values)
-    x = np.ascontiguousarray(g.values).view(float)
-    exp = np.frexp(np.abs(x).max(axis=1))[1]  # each row at its own exact power-of-two scale
-    scaled = np.ldexp(x, -exp[:, None]).view(complex)
-    assert integrate_norm(g, TRAPEZOID) == float(w @ np.ldexp(np.linalg.norm(scaled, axis=1), exp))
+    # the reference sums in plain Python, in the pairwise order of hilbert.row_sums
+    rows = [floats(row) for row in g.values.tolist()]
+    top = math.frexp(max(abs(x) for row in rows for x in row))[1]  # one scale for every value
+    vector = [math.ldexp(pairwise_sum(wk * math.ldexp(row[j], -top) for wk, row in zip(w, rows)), top)
+              for j in range(2 * g.dim)]
+    assert np.array_equal(integrate_vector(g, TRAPEZOID).view(float), vector)
+    exp = [math.frexp(max(map(abs, row)))[1] for row in rows]  # each row at its own scale
+    norms = [row_norm([math.ldexp(x, -e) for x in row]) for row, e in zip(rows, exp)]
+    top = max(exp)  # then all at the largest one's
+    want = math.ldexp(pairwise_sum(wk * math.ldexp(n, e - top) for wk, n, e in zip(w, norms, exp)), top)
+    assert integrate_norm(g, TRAPEZOID) == want
 
 
 @settings(max_examples=40)
@@ -376,8 +383,8 @@ def test_panel_norm_integral_of_a_panel_grazing_0(offset):
 def test_panel_norm_integral_dominates_the_midpoint_norm(panel):
     x0, x1 = make_panel(panel[0], panel[1], 10.0 ** panel[2], panel[3])
     mid = (0.5 * x0 + 0.5 * x1)[None]
-    # row norms, as integrate_norm takes them at the nodes
-    assert panel_norm_integrals(x0[None], x1[None])[0] >= np.linalg.norm(mid, axis=1)[0]
+    # the package's own norm, as integrate_norm takes it at the nodes
+    assert panel_norm_integrals(x0[None], x1[None])[0] >= row_norm(mid[0].tolist())
 
 
 def test_model_rule_is_exact_for_any_refinement():

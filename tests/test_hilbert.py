@@ -10,13 +10,16 @@ from bochner_bounds.hilbert import (
     OrthonormalFamily,
     bessel_defect,
     check_orthonormal,
+    combinations,
     inner,
     norm,
     pow2_scaled,
+    projections,
     row_norms,
     row_sums,
     span_projection,
 )
+from summation import floats, pairwise_sum, row_norm
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -66,12 +69,14 @@ def test_norm_is_numpys_norm_bit_for_bit_in_the_normal_range():
             parts = rng.normal(size=(2, d)) * 10.0 ** rng.uniform(-3, 0, size=(2, d))
             parts[rng.random(size=(2, d)) < 0.1] = 0.0
             u = scale * (parts[0] + 1j * parts[1])
-            assert norm(u) == float(np.linalg.norm(u)), (d, u)
+            # the reference is the package's own order, in plain Python
+            want = row_norm(u.tolist())
+            assert norm(u) == want, (d, u)
             # moved by a power of two to about 1e-200 or 1e200, where squares under- or overflow
             for target in (-200, 200):
                 k = round((target - math.log10(scale)) * math.log2(10))
                 scaled = np.ldexp(u.view(float), k).view(complex)
-                assert norm(scaled) == math.ldexp(np.linalg.norm(u), k), (d, u, k)
+                assert norm(scaled) == math.ldexp(want, k), (d, u, k)
 
 
 def test_norm_neither_underflows_nor_overflows():
@@ -158,7 +163,8 @@ def test_bessel_nonnegative_and_matches_projection_residual(d, seed, in_span, da
     assert defect == pytest.approx(residual, abs=1e-10)
 
 
-# Row kernels: numpy's own reductions along axis -1 are the reference, bit for bit.
+# Row kernels: the pairwise order of row_sums in plain Python is the reference,
+# bit for bit, and numpy's reduction along a contiguous axis gives it too.
 
 def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
@@ -178,16 +184,20 @@ def _rows(rng, rows: int, width: int, complex_: bool) -> np.ndarray:
     return x
 
 
-# below, at and above the row count where the kernels switch from numpy's loop
+# no rows, one row, and a few up to a few hundred
 ROW_COUNTS = (0, 1, 17, 255, 256, 300)
 
 
 def _layouts(x: np.ndarray) -> dict[str, np.ndarray]:
-    """x in C order, reversed along its rows, and in Fortran order, where numpy sums by columns."""
+    """x in C order, reversed along its rows, and in Fortran order; the layout never changes a sum."""
     return {"C": x, "reversed": x[:, ::-1], "Fortran": np.asfortranarray(x)}
 
 
-# the kernels sum rows of up to 8 entries themselves and pass wider ones to numpy
+def _want_sums(x: np.ndarray) -> np.ndarray:
+    return np.array([pairwise_sum(row) for row in x.tolist()]).reshape(x.shape[:-1])
+
+
+# the kernels sum rows of up to 8 entries in column passes and wider ones through numpy
 @pytest.mark.parametrize("width", range(1, 17))
 def test_row_kernels_are_numpys_axis_reductions_bit_for_bit(width):
     rng = np.random.default_rng(width)
@@ -195,11 +205,15 @@ def test_row_kernels_are_numpys_axis_reductions_bit_for_bit(width):
         for complex_ in (False, True):
             for layout, x in _layouts(_rows(rng, rows, width, complex_)).items():
                 with np.errstate(over="ignore"):  # inf on both sides
-                    got, want = row_norms(x), np.linalg.norm(x, axis=-1)
-                    if complex_:  # the squared moduli as a .real view, entries 16 bytes apart
-                        x = (x.conj() * x).real
+                    got = row_norms(x)
+                want = np.array([row_norm(row) for row in x.tolist()]).reshape(x.shape[:-1])
                 assert np.array_equal(_bits(got), _bits(want)), (rows, layout)
-                assert np.array_equal(_bits(row_sums(x)), _bits(np.add.reduce(x, axis=-1))), (rows, layout)
+                if complex_:  # the float view, 2 * width entries per row
+                    x = np.ascontiguousarray(x).view(float)
+                want = _want_sums(x)
+                assert np.array_equal(_bits(row_sums(x)), _bits(want)), (rows, layout)
+                contiguous = np.add.reduce(np.ascontiguousarray(x), axis=-1)
+                assert np.array_equal(_bits(contiguous), _bits(want)), (rows, layout)
 
 
 @settings(max_examples=40)
@@ -209,7 +223,33 @@ def test_row_sums_of_signed_zeros(rows, width, seed):
     s = _rows(rng, rows, width, False)
     s[rng.random(rows) < 0.2] = -0.0  # a row of -0.0 sums to +0.0
     for x in _layouts(s).values():
-        assert np.array_equal(_bits(row_sums(x)), _bits(np.add.reduce(x, axis=-1)))
+        assert np.array_equal(_bits(row_sums(x)), _bits(_want_sums(x)))
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 127, 128, 129, 1000, 20_001))
+def test_row_sums_of_long_rows_are_pairwise(n):
+    rng = np.random.default_rng(n)
+    x = _rows(rng, 3, n, False)
+    for y in (x, x.T.copy().T, x[:, ::-1]):  # C order, Fortran order, reversed
+        assert np.array_equal(_bits(row_sums(y)), _bits(_want_sums(y)))
+    assert np.array_equal(_bits(row_sums(x[0])), _bits(pairwise_sum(x[0].tolist())))  # one 1-D row
+
+
+def test_projections_and_combinations_follow_the_row_sums():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    rows = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    want = [[pairwise_sum(a * b for a, b in zip(floats(xk), floats(c))) for xk in x.tolist()]
+            for c in rows.tolist()]
+    assert np.array_equal(_bits(projections(x, rows)), _bits(want))
+    re, im = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
+    got = combinations(re, im, rows)
+    for k in range(40):
+        for i in range(3):
+            c = rows[:, i]
+            want_re = pairwise_sum(re[k, j] * c[j].real - im[k, j] * c[j].imag for j in range(2))
+            want_im = pairwise_sum(re[k, j] * c[j].imag + im[k, j] * c[j].real for j in range(2))
+            assert np.array_equal(_bits([got[k, i].real, got[k, i].imag]), _bits([want_re, want_im])), (k, i)
 
 
 def _reference_pow2_scaled(*arrays):

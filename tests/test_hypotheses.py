@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bochner_bounds.gridfn import GridFunction, Interval, evaluate_many, sample
+from bochner_bounds.bounds import bound_report_to_dict, certify
+from bochner_bounds.gridfn import GridFunction, Interval, QuadratureRule, evaluate_many, sample
 from bochner_bounds.hilbert import OrthonormalFamily
 from bochner_bounds.hypotheses import (
     Cone,
@@ -32,6 +34,8 @@ from bochner_bounds.hypotheses import (
     mforms_agree,
 )
 from bochner_bounds.hypotheses import _ball_slacks, _slacks
+from bochner_bounds.witness import FamilySpec, generate
+from summation import row_norm
 
 E1 = np.array([1.0 + 0j])
 E2 = np.eye(2, dtype=complex)
@@ -485,6 +489,69 @@ def test_cone_checks_are_unchanged_by_powers_of_two(tag, d, n, interp, k, seed):
     assert bits[0] == bits[1]
 
 
+RULES = (QuadratureRule(), QuadratureRule("composite-simpson", 1), QuadratureRule("trapezoid-on-nodes", 1))
+
+
+def _scales_exactly(x: float, k: int) -> bool:
+    """Whether x and 2^k x are both zero or normal floats, so that 2^k x is exact on both sides."""
+    y = math.ldexp(x, k)
+    return x == 0.0 or (math.isfinite(y) and min(abs(x), abs(y)) >= sys.float_info.min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CONE_TAGS),
+    st.integers(1, 3),
+    st.integers(2, 40),
+    st.sampled_from(("linear", "constleft")),
+    st.booleans(),
+    st.sampled_from(RULES),
+    st.integers(-1000, 1000),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_certify_scales_by_powers_of_two_bit_for_bit(tag, d, n, interp, jitter, rule, k, seed):
+    # every homogeneous class and rule: certify(2^k f) is 2^k certify(f) in every float field
+    rng = np.random.default_rng(seed)
+    h, center = _random_class(rng, tag, d)
+    d = center.shape[1]
+    spread = rng.choice([0.0, 0.05, 0.3, 1.0])
+    noise = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    values = rng.uniform(0.5, 2.0, (n, 1)) * center + spread * noise
+    values[rng.uniform(size=n) < 0.2] = 0.0
+    nodes = np.linspace(0.0, 1.0, n)
+    if jitter and n > 2:
+        nodes[1:-1] += rng.uniform(-0.3, 0.3, n - 2) / (n - 1)
+    scaled = np.ldexp(values.view(float), k).view(complex)
+    assume(np.array_equal(np.ldexp(scaled.view(float), -k), values.view(float)))  # 2^k f is exact
+    reports = [certify(GridFunction(Interval(0, 1), nodes, v, interp), h, rule) for v in (values, scaled)]
+    base, moved = (bound_report_to_dict(r) for r in reports)
+    for key in ("coefficient", "coefficient_exceeds_one", "hypothesis_verified"):
+        assert base[key] == moved[key], key
+    fields = {key: (base[key], moved[key])
+              for key in ("lower_bound", "true_norm", "gap", "equality_residual")}
+    for j, (x, y) in enumerate(zip(base["equality_vector"], moved["equality_vector"])):
+        fields[f"equality_vector[{j}].re"], fields[f"equality_vector[{j}].im"] = (x[0], y[0]), (x[1], y[1])
+    for key, (x, y) in fields.items():
+        if _scales_exactly(x, k):
+            assert y.hex() == math.ldexp(x, k).hex(), (key, x, y)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: f"{r.kind} {r.refinement}")
+def test_certify_scales_exactly_where_weighted_values_are_subnormal(rule):
+    # 1e5 panels: the weights are 1e-5, so at k = -1015 the products w * f and
+    # the node norms scaled back one by one would be subnormal
+    h = Cone(0.2, 0.9)
+    f = generate(FamilySpec(h, 3, nodes=100_001))
+    base = bound_report_to_dict(certify(f, h, rule))
+    for k in (1000, -1000, -1015):
+        scaled = np.ldexp(f.values.view(float), k)
+        assert np.array_equal(np.ldexp(scaled, -k), f.values.view(float))  # 2^k f is exact
+        g = GridFunction(f.interval, f.nodes, scaled.view(complex))
+        moved = bound_report_to_dict(certify(g, h, rule))
+        for key in ("lower_bound", "true_norm", "gap", "equality_residual"):
+            assert moved[key] == math.ldexp(base[key], k), (k, key)
+
+
 def _angular_slacks(values, lo, hi):
     """The former radian slack of lo <= arg f <= hi; zero samples are skipped."""
     z = values[:, 0]
@@ -608,7 +675,7 @@ def test_ball_check_memory_does_not_grow_with_the_number_of_balls():
     assert peak < 40e6, peak
     # in the normal range every power-of-two scaling is exact: the plain distances, bit for bit
     centres, radii = constraints(h)[1]
-    plain = min(np.min(r - np.linalg.norm(values - c, axis=1)) for c, r in zip(centres, radii))
+    plain = min(r - row_norm(row) for c, r in zip(centres, radii) for row in (values - c).tolist())
     assert report.worst_margin == plain
 
 
@@ -618,5 +685,5 @@ def test_ball_slacks_scale_each_row_by_its_own_power_of_two():
     with np.errstate(all="raise"):
         slacks = _ball_slacks(values, centres, radii)
     for c, r, slack in zip(centres, radii, slacks):
-        assert np.array_equal(slack[[0, 2]], r - np.linalg.norm(values[[0, 2]] - c, axis=1))
+        assert np.array_equal(slack[[0, 2]], [r - row_norm(row) for row in (values[[0, 2]] - c).tolist()])
         assert slack[1] == pytest.approx(r - abs(values[1, 0] - c[0]), rel=1e-15)
