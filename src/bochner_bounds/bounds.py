@@ -10,17 +10,9 @@ h_j ||f|| <= Im<f, e_j> pointwise where h_j > 0.  Then
 with equality iff ``integral f = (sum_j (k_j + i h_j) e_j) * integral ||f||``.
 :func:`certify` evaluates both sides by quadrature and also predicts that
 equality vector, so the bound and its sharpness characterization can be
-tested in both directions on concrete data, for every class.
-
-Derived constants (k, h) per vector:
-
-* unit vector constants (k1, k2):        (k1, k2)
-* disks (eta1, eta2):                    (sqrt(1 - eta1^2), sqrt(1 - eta2^2))
-* annuli (m1, M1, m2, M2):               (2 sqrt(m1 M1)/(M1+m1), 2 sqrt(m2 M2)/(M2+m2))
-* orthonormal families:                  the same, once per family vector
-* cone (phi1, phi2), e = 1:              (cos phi2, sin phi1)
-* symmetric argument window (theta):     (cos theta, 0), i.e. KCond with K = 1/cos theta
-* K-condition:                           (1/K, 0)
+tested in both directions on concrete data, for every class.  Each class's
+constants (k_j, h_j) are derived in ``family_form`` alone, and README's
+table of classes lists them.
 
 A coefficient above 1 certifies that the hypothesis class is empty (no
 function can beat the triangle inequality) and is reported as a warning, not
@@ -100,9 +92,9 @@ def certify(
     norm_integral = integrate_norm(f, rule)
     true_norm = norm(vec)
     lower = coeff * norm_integral
-    with np.errstate(invalid="ignore"):  # 0 * inf, for an integral past the float range
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf, for integrals past the float range
         eq_vec = (equality_direction(h).view(float) * norm_integral).view(complex)
-    residual = norm(vec - eq_vec)
+        residual = norm(vec - eq_vec)
     return BoundReport(
         hypothesis_tag=tag_of(h),
         coefficient=coeff,

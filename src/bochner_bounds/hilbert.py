@@ -9,11 +9,10 @@ function value or an integral is of a row scaled by its own power of two,
 scaled back, which is exact in the normal range and keeps squares in range.
 
 :func:`row_sums` is the package's one summation order.  Every sum that
-feeds a report goes through it, in real arithmetic on the float view of
-C^d as R^2d, with no complex product and no BLAS, so report bytes do not
-depend on the CPU, the BLAS build or its thread count.  The Gram check of
-:class:`OrthonormalFamily` and ``hypotheses.mforms_agree`` keep BLAS and
-complex products: they only compare against a tolerance.
+feeds a report, and every other sum in the package, goes through it, in
+real arithmetic on the float view of C^d as R^2d, with no complex product
+and no BLAS, so neither a report byte nor a verdict depends on the CPU, the
+BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -209,8 +208,8 @@ class OrthonormalFamily:
             raise ValueError(f"orthonormality impossible: {n} vectors in dimension {d}")
         m.setflags(write=False)
         object.__setattr__(self, "vectors", m)
-        gram = m @ m.conj().T
-        dev = np.abs(gram - np.eye(n))
+        # Re<e_j, e_k> and Im<e_j, e_k> = Re<e_j, i e_k>, by the row kernels
+        dev = np.hypot(projections(m, m) - np.eye(n), projections(m, 1j * m).T)
         j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
         if not dev[j, k] <= self.tol:  # also catches NaN entries
             raise _NotOrthonormal(GramViolation((int(j), int(k)), float(dev[j, k]), self.tol))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .gridfn import GridFunction
 from .hilbert import (OrthonormalFamily, as_vector, norm, pow2_exponents, pow2_scaled, projections,
-                      row_norms)
+                      row_norms, row_sums)
 from .jsonio import decode_floats, decode_pairs, encode_pairs
 
 __all__ = [
@@ -93,21 +93,44 @@ def _require_unit(e, name: str) -> np.ndarray:
     return v
 
 
-def _require_nonneg(x: float, name: str) -> float:
+def _require_nonneg(x: float, name: str) -> None:
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"{name} must be >= 0, got {x!r}")
-    return float(x)
 
 
-def _require_open01(x: float, name: str) -> float:
+def _require_open01(x: float, name: str) -> None:
     if not (0.0 < x < 1.0):
         raise ValueError(f"{name} must lie in (0, 1), got {x!r}")
-    return float(x)
 
 
 def _require_pair(m: float, M: float, mname: str, Mname: str) -> None:
     if not 0 < m <= M < math.inf:
         raise ValueError(f"need finite {Mname} >= {mname} > 0, got {mname}={m!r}, {Mname}={M!r}")
+
+
+def _check_members(h, require, per: int = 1) -> None:
+    """Check and store the fields of ``h`` after its ``e`` or ``fam``: one constant per vector.
+
+    ``e`` must be a unit vector.  ``require(x, name)`` checks each entry of
+    each field, in field order, or with ``per=2``, ``require(m, M, mname,
+    Mname)`` each entry of each (m, M) pair of fields.  A family class
+    stores each field as a tuple of floats, one entry per family vector; a
+    single-vector class stores each as a float.
+    """
+    head, *consts = fields(h)
+    family = head.name == "fam"
+    if not family:
+        object.__setattr__(h, "e", _require_unit(h.e, "e"))
+    names = [f.name for f in consts]
+    columns = [tuple(float(x) for x in np.atleast_1d(getattr(h, name))) for name in names]
+    for i in range(0, len(names), per):
+        for entries in zip(*columns[i:i + per]):
+            require(*entries, *names[i:i + per])
+    n = h.fam.n if family else 1
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"{'/'.join(names)} must have one entry per family vector ({n})")
+    for name, column in zip(names, columns):
+        object.__setattr__(h, name, column if family else column[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +166,7 @@ class UnitVector:
     k2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "e", _require_unit(self.e, "e"))
-        _require_nonneg(self.k1, "k1")
-        _require_nonneg(self.k2, "k2")
+        _check_members(self, _require_nonneg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +178,7 @@ class Disk:
     eta2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "e", _require_unit(self.e, "e"))
-        _require_open01(self.eta1, "eta1")
-        _require_open01(self.eta2, "eta2")
+        _check_members(self, _require_open01)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +192,7 @@ class MBounds:
     M2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "e", _require_unit(self.e, "e"))
-        _require_pair(self.m1, self.M1, "m1", "M1")
-        _require_pair(self.m2, self.M2, "m2", "M2")
+        _check_members(self, _require_pair, per=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,12 +204,7 @@ class Orthonormal:
     hs: tuple
 
     def __post_init__(self):
-        ks = tuple(_require_nonneg(k, "ks") for k in np.atleast_1d(self.ks))
-        hs = tuple(_require_nonneg(h, "hs") for h in np.atleast_1d(self.hs))
-        if len(ks) != self.fam.n or len(hs) != self.fam.n:
-            raise ValueError(f"ks/hs must have one entry per family vector ({self.fam.n})")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "hs", hs)
+        _check_members(self, _require_nonneg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,12 +216,7 @@ class OrthoDisk:
     etas: tuple
 
     def __post_init__(self):
-        rhos = tuple(_require_open01(r, "rhos") for r in np.atleast_1d(self.rhos))
-        etas = tuple(_require_open01(r, "etas") for r in np.atleast_1d(self.etas))
-        if len(rhos) != self.fam.n or len(etas) != self.fam.n:
-            raise ValueError(f"rhos/etas must have one entry per family vector ({self.fam.n})")
-        object.__setattr__(self, "rhos", rhos)
-        object.__setattr__(self, "etas", etas)
+        _check_members(self, _require_open01)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,18 +230,7 @@ class OrthoMBounds:
     Ns: tuple
 
     def __post_init__(self):
-        ms = tuple(float(x) for x in np.atleast_1d(self.ms))
-        Ms = tuple(float(x) for x in np.atleast_1d(self.Ms))
-        ns = tuple(float(x) for x in np.atleast_1d(self.ns))
-        Ns = tuple(float(x) for x in np.atleast_1d(self.Ns))
-        if not (len(ms) == len(Ms) == len(ns) == len(Ns) == self.fam.n):
-            raise ValueError(f"ms/Ms/ns/Ns must have one entry per family vector ({self.fam.n})")
-        for m, M in zip(ms, Ms):
-            _require_pair(m, M, "ms", "Ms")
-        for n_, N in zip(ns, Ns):
-            _require_pair(n_, N, "ns", "Ns")
-        for name, val in (("ms", ms), ("Ms", Ms), ("ns", ns), ("Ns", Ns)):
-            object.__setattr__(self, name, val)
+        _check_members(self, _require_pair, per=2)
 
 
 @dataclass(frozen=True)
@@ -297,10 +293,10 @@ def family_form(h: Hypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Im<f, e_j>`` at every point where ``hs[j] > 0``.  This is the only place
     that knows each class's derived constants.
     """
-    if isinstance(h, Cone):
-        return _SCALAR_E, np.array([math.cos(h.phi2)]), np.array([math.sin(h.phi1)])
-    if isinstance(h, Karamata):
-        return _SCALAR_E, np.array([math.cos(h.theta)]), np.zeros(1)
+    win = window(h)
+    if win is not None:  # lo <= arg f <= hi with -hi <= lo: k = cos hi, and h = sin lo if lo > 0
+        lo, hi = win
+        return _SCALAR_E, np.array([math.cos(hi)]), np.array([max(math.sin(lo), 0.0)])
     if isinstance(h, KCond):
         return h.e[None, :], np.array([1.0 / h.K]), np.zeros(1)
     if isinstance(h, (UnitVector, Orthonormal)):
@@ -469,7 +465,8 @@ def mforms_agree(f: GridFunction, h: MBounds, tol: float = DEFAULT_CHECK_TOL) ->
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={h.e.size}")
     form_ii = [slack >= -tol for slack in _ball_slacks(f.values, *constraints(h)[1])]
     for j, (c, m, M) in enumerate(((h.e, h.m1, h.M1), (1j * h.e, h.m2, h.M2))):
-        form_i = np.sum((M * c - f.values) * np.conj(f.values - m * c), axis=1).real >= -tol
+        # Re<x, y> is the dot product of the float views
+        form_i = row_sums((M * c - f.values).view(float) * (f.values - m * c).view(float)) >= -tol
         if not np.array_equal(form_i, form_ii[j]):
             return False
     return True

@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import certify, coefficient, equality_direction
 from .gridfn import DEFAULT_RULE, GridFunction, Interval, QuadratureRule
 from .hilbert import combinations, norm, projections, row_norms, row_sums
-from .hypotheses import Cone, Hypothesis, check, constraints, family_form, tag_of, window
+from .hypotheses import Cone, Hypothesis, Karamata, check, constraints, family_form, tag_of, window
 
 __all__ = [
     "make_witness",
@@ -88,19 +88,18 @@ def make_witness(
 def _widened(h: Hypothesis, eps: float) -> Hypothesis:
     """Hypothesis enlarged to admit a phase spread of eps around a witness.
 
-    An argument window widens by eps/2 on each side.  A class of cones on
-    each e_j and i e_j rotates its pairs (k_j, h_j); ball classes, and
-    classes that leave Im<f, e_j> free, are refused.
+    An argument window widens by eps/2 on each side, within its own class
+    (a symmetric window stays symmetric).  A class of cones on each e_j and
+    i e_j rotates its pairs (k_j, h_j); ball classes, and classes that leave
+    Im<f, e_j> free, are refused.
     """
     win = window(h)
     if win is not None:
         lo, hi = win[0] - eps / 2.0, win[1] + eps / 2.0
-        if lo < 0.0 or hi >= math.pi / 2:
-            raise ValueError(
-                f"phase spread {eps!r} leaves the admissible argument window "
-                f"[0, pi/2): widened cone would be [{lo!r}, {hi!r}]"
-            )
-        return Cone(phi1=lo, phi2=hi)
+        try:
+            return Cone(lo, hi) if isinstance(h, Cone) else Karamata(hi)
+        except ValueError as exc:
+            raise ValueError(f"phase spread {eps!r} leaves the admissible argument window: {exc}") from None
     (cones, _), (_, radii) = constraints(h)
     vectors, ks, hs = family_form(h)
     if radii.size or len(cones) != 2 * len(vectors):  # balls, or Im<f, e_j> left free

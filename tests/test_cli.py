@@ -82,6 +82,13 @@ def test_exit_codes_cover_exactly_the_contract(tmp_path, capsys):
     infeasible = dict(ok, hypothesis={"type": "disk", "e": [[1, 0]], "eta1": 1.4, "eta2": 0.5})
     assert main(["check", "--input", write_doc(tmp_path, "inf.json", infeasible)]) == 1
     capsys.readouterr()
+    # every bundled function -> 0 or 2, with each of its nodes checked
+    for path in sorted(INPUTS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "function" in doc:
+            assert main(["check", "--input", str(path)]) in (0, 2), path.name
+            report = json.loads(capsys.readouterr().out)
+            assert report["checked_points"] == len(doc["function"]["nodes"]), path.name
 
 
 def test_error_messages_name_the_offending_field(tmp_path, capsys):
@@ -226,6 +233,33 @@ def test_values_past_the_float_range_exit_1_with_one_error_line(tmp_path, capsys
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1, (command, flags, err)
             assert err.startswith(f"error: {field}: "), (command, flags, err)
+
+
+def test_node_spans_at_the_top_of_the_float_range(tmp_path, capsys):
+    # f = 1: an integral of 1e308 is reported under every rule; a span past
+    # the float range gives infinite weights, which exit 1 with one line and
+    # no warning on the way
+    hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    for nodes in ([0.0, 5e307, 1e308], [0.0, 1e308], [-1e308, 0.0, 1e308], [-1e308, 1e308]):
+        for interp in ("linear", "constleft"):
+            doc = constant_doc(1 + 0j, hyp, n=len(nodes))
+            doc["function"].update(a=nodes[0], b=nodes[-1], nodes=nodes, interp=interp)
+            path = write_doc(tmp_path, "span.json", doc)
+            in_range = nodes[0] == 0.0
+            for command, flags in [("check", [])] + [(c, f) for c in ("certify", "integrate")
+                                                      for f in QUAD_FLAGS]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    status = main([command, "--input", path, *flags])
+                out, err = capsys.readouterr()
+                case = (nodes, interp, command, flags, err)
+                if in_range or command == "check":
+                    assert status == 0 and err == "", case
+                    if command == "integrate":
+                        assert json.loads(out)["norm_integral"] == pytest.approx(1e308, rel=1e-15), case
+                else:
+                    assert status == 1 and out == "" and err.count("\n") == 1, case
+                    assert err.startswith("error: "), case
 
 
 def test_an_interval_that_is_not_the_node_span_exits_1_naming_the_function(tmp_path, capsys):
@@ -379,6 +413,7 @@ def test_usage_errors_and_unread_flags_exit_1(capsys):
         (["certify", "--input", disk, "--quad-kind", "gauss"], "--quad-kind"),
         # each subcommand accepts only the flags it reads
         (["check", "--input", disk, "--quad-refine", "0"], "--quad-refine"),
+        (["check", "--input", disk, "--quad-refine", "1"], "--quad-refine"),
         (["check", "--input", disk, "--quad-kind", "trapezoid-on-nodes"], "--quad-kind"),
         (["witness", "--input", witness, "--tol", "5"], "--tol"),
         (["witness", "--input", witness, "--quad-kind", "trapezoid-on-nodes"], "--quad-kind"),

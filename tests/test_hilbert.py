@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bochner_bounds
 from bochner_bounds.hilbert import (
     GramViolation,
     OrthonormalFamily,
@@ -276,3 +279,23 @@ def test_pow2_scaled_takes_the_frexp_of_each_rows_peak(rows, d):
     (scaled,), exp = pow2_scaled(whole)
     assert exp == np.frexp(np.abs(whole.view(float)).max())[1]
     assert np.array_equal(_bits(scaled.view(float)), _bits(np.ldexp(whole.view(float), -exp)))
+
+
+# products and reductions that sum in an order of their own, not that of row_sums: BLAS's
+# or numpy's, as functions of np or as array methods
+SUMS = {"dot", "sum", "mean", "conj", "conjugate"}  # np.sum and x.sum() alike
+NUMPY_SUMS = {"einsum", "matmul", "vdot", "inner", "tensordot", "linalg"}
+
+
+def test_the_package_sums_only_through_the_row_kernels():
+    found = []
+    for path in sorted(Path(bochner_bounds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr in SUMS
+                    or isinstance(node.value, ast.Name) and node.value.id == "np"
+                    and node.attr in NUMPY_SUMS):
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []

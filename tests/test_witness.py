@@ -117,6 +117,14 @@ def test_phase_scan_gaps_increase_from_zero():
     assert gaps[0] < gaps[1] < gaps[2]
 
 
+def test_phase_scan_widens_a_symmetric_window_as_a_symmetric_window():
+    # the rotated constant 1 keeps |arg f| <= 0.3 + eps/2; as a cone its window would start below 0
+    w = GridFunction(Interval(0.0, 1.0), np.linspace(0.0, 1.0, 33), np.ones((33, 1)))
+    gaps = [gap for _, gap in perturb_scan(w, Karamata(0.3), [0.0, 0.1, 0.5], mode="phase")]
+    assert gaps[0] < gaps[1] < gaps[2]
+    assert witness._widened(Karamata(0.3), 0.1) == Karamata(0.3 + 0.05)
+
+
 def test_phase_scan_on_unit_vector_witness():
     w = make_witness(UNIT_SURFACE)
     scan = perturb_scan(w, UNIT_SURFACE, [0.0, 0.05, 0.2], mode="phase")
@@ -247,6 +255,12 @@ def test_rejection_keeps_the_draw_order_and_stops_at_the_cap():
         Orthonormal(FAM2, ks=(0.3, 0.3), hs=(0.2, 0.2)),
         OrthoDisk(FAM2, rhos=(0.95, 0.95), etas=(0.95, 0.95)),
         OrthoMBounds(FAM2, ms=(0.05, 0.05), Ms=(4.0, 4.0), ns=(0.05, 0.05), Ns=(4.0, 4.0)),
+        # a residual orthogonal to the family (d > n), and the coefficient-1 ray
+        pytest.param(UnitVector(E2[0], 0.3, 0.4), id="UnitVector d=2"),
+        pytest.param(KCond(E2[0], 2.0), id="KCond d=2"),
+        pytest.param(Orthonormal(OrthonormalFamily(np.eye(3, dtype=complex)[:1]), ks=(0.2,), hs=(0.3,)),
+                     id="Orthonormal n=1 d=3"),
+        pytest.param(UnitVector(E1, 0.6, 0.8), id="UnitVector on the surface"),
     ],
     ids=lambda h: type(h).__name__,
 )
