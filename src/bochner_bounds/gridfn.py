@@ -165,9 +165,16 @@ def evaluate_many(f: GridFunction, ts) -> np.ndarray:
     return f.values[np.searchsorted(f.nodes, ts, side="right") - 1]
 
 
+def _span(nodes: np.ndarray) -> tuple[float, float]:
+    """``(s, m)`` with the node span s * m: m = 1, or m = 2 where the span overflows."""
+    span = nodes[-1] - nodes[0]  # callers ignore the overflow
+    return (span, 1.0) if span < np.inf else (nodes[-1] / 2.0 - nodes[0] / 2.0, 2.0)
+
+
 def _is_uniform(nodes: np.ndarray) -> bool:
     h = np.diff(nodes)
-    return bool(np.max(np.abs(h - h[0])) <= 1e-12 * (nodes[-1] - nodes[0]))
+    span, m = _span(nodes)
+    return bool(np.max(np.abs(h - h[0])) <= 1e-12 * span * m)
 
 
 def _simpson_weights_uniform(n_intervals: int, h: float) -> np.ndarray:
@@ -206,7 +213,8 @@ def _node_weights(nodes: np.ndarray, method: str) -> np.ndarray:
     if method == "rectangles":
         return np.diff(nodes)
     if method == "simpson":
-        return _simpson_weights_uniform(nodes.size - 1, (nodes[-1] - nodes[0]) / (nodes.size - 1))
+        span, m = _span(nodes)
+        return _simpson_weights_uniform(nodes.size - 1, span / (nodes.size - 1) * m)
     half = np.diff(nodes) / 2.0  # trapezoid: half of each adjacent panel
     w = np.zeros(nodes.size)
     w[:-1] += half
@@ -265,7 +273,7 @@ def _scaled_panel_norm_integrals(x0: np.ndarray, x1: np.ndarray) -> tuple[np.nda
 
 def integrate_vector(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
     """Componentwise integral of f under ``rule``, with all values in one power-of-two scale."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range: inf weights
+    with np.errstate(over="ignore", invalid="ignore"):  # a spacing past the float range: inf weights
         w = _node_weights(f.nodes, _method(f, rule))
     values = f.values[: w.size]
     return _summed(w, values.view(float).T, 0, pow2_exponents(values.ravel())).view(complex)
@@ -278,7 +286,7 @@ def integrate_norm(f: GridFunction, rule: QuadratureRule = DEFAULT_RULE) -> floa
     (the model rule) is scaled by its own power of two, :func:`~.hilbert.pow2_scaled`,
     and the terms are summed in the largest one's scale.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range: inf weights
+    with np.errstate(over="ignore", invalid="ignore"):  # a spacing past the float range: inf weights
         method = _method(f, rule)
         w = np.diff(f.nodes) if method == "model" else _node_weights(f.nodes, method)
     if method == "model":
@@ -329,9 +337,12 @@ def gridfunction_from_dict(d: dict) -> GridFunction:
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
+    interp = d.get("interp", "linear")
+    if interp not in INTERPOLATIONS:
+        raise ValueError(f"interp: unknown interpolation {interp!r}")
     return GridFunction(
         interval=Interval(float(field("a", decode_floats, 0)), float(field("b", decode_floats, 0))),
         nodes=field("nodes", decode_floats, 1),
         values=field("values", decode_pairs, 2),
-        interpolation=d.get("interp", "linear"),
+        interpolation=interp,
     )

@@ -34,6 +34,10 @@ The slack of each kind (negative slack = violated point) is
 
 A node where f(t) = 0 has cone slack 0.  Every norm is of a row scaled by its
 own power of two, the package's one rule (:func:`~.hilbert.pow2_scaled`).
+
+One function reads each class's fields and gives both forms.  A family class
+is one whose first field is ``fam``; it holds a tuple of constants, one per
+family vector, where a single-vector class (first field ``e``) holds a float.
 """
 
 from __future__ import annotations
@@ -108,6 +112,11 @@ def _require_pair(m: float, M: float, mname: str, Mname: str) -> None:
         raise ValueError(f"need finite {Mname} >= {mname} > 0, got {mname}={m!r}, {Mname}={M!r}")
 
 
+def _is_family(h) -> bool:
+    """Whether the class (or instance) ``h`` is a family class: its first field is ``fam``."""
+    return fields(h)[0].name == "fam"
+
+
 def _check_members(h, require, per: int = 1) -> None:
     """Check and store the fields of ``h`` after its ``e`` or ``fam``: one constant per vector.
 
@@ -117,11 +126,10 @@ def _check_members(h, require, per: int = 1) -> None:
     stores each field as a tuple of floats, one entry per family vector; a
     single-vector class stores each as a float.
     """
-    head, *consts = fields(h)
-    family = head.name == "fam"
+    family = _is_family(h)
     if not family:
         object.__setattr__(h, "e", _require_unit(h.e, "e"))
-    names = [f.name for f in consts]
+    names = [f.name for f in fields(h)[1:]]
     columns = [tuple(float(x) for x in np.atleast_1d(getattr(h, name))) for name in names]
     for i in range(0, len(names), per):
         for entries in zip(*columns[i:i + per]):
@@ -200,8 +208,8 @@ class Orthonormal:
     """k_j*||f|| <= Re<f, e_j> and h_j*||f|| <= Im<f, e_j> for each family member."""
 
     fam: OrthonormalFamily
-    ks: tuple
-    hs: tuple
+    ks: tuple[float, ...]
+    hs: tuple[float, ...]
 
     def __post_init__(self):
         _check_members(self, _require_nonneg)
@@ -212,8 +220,8 @@ class OrthoDisk:
     """||f - e_k|| <= rho_k and ||f - i e_k|| <= eta_k for each family member."""
 
     fam: OrthonormalFamily
-    rhos: tuple
-    etas: tuple
+    rhos: tuple[float, ...]
+    etas: tuple[float, ...]
 
     def __post_init__(self):
         _check_members(self, _require_open01)
@@ -224,10 +232,10 @@ class OrthoMBounds:
     """Re<M_k e_k - f, f - m_k e_k> >= 0 and Re<N_k i e_k - f, f - n_k i e_k> >= 0."""
 
     fam: OrthonormalFamily
-    ms: tuple
-    Ms: tuple
-    ns: tuple
-    Ns: tuple
+    ms: tuple[float, ...]
+    Ms: tuple[float, ...]
+    ns: tuple[float, ...]
+    Ns: tuple[float, ...]
 
     def __post_init__(self):
         _check_members(self, _require_pair, per=2)
@@ -268,21 +276,39 @@ def tag_of(h: Hypothesis) -> str:
     return _TAGS[type(h)]
 
 
-_FAMILIES = (Orthonormal, OrthoDisk, OrthoMBounds)
-
-# the unit vector 1 of C^1 as a one-row family, shared by the angular classes
-_SCALAR_E = np.ones((1, 1), dtype=complex)
-_SCALAR_E.setflags(write=False)
-
-
-def _per_vector(h: Hypothesis) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unit vectors as rows, and each remaining field as one entry per row.
+def _forms(h: Hypothesis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[tuple, tuple]]:
+    """Both normal forms of ``h``, :func:`family_form`'s and :func:`constraints`', class by class.
 
     UnitVector, Disk and MBounds list their constants in the field order of
     Orthonormal, OrthoDisk and OrthoMBounds, so each is read as n = 1 there.
     """
-    vectors = h.fam.vectors if isinstance(h, _FAMILIES) else h.e[None, :]
-    return vectors, [np.array(getattr(h, f.name), dtype=float, ndmin=1) for f in fields(h)[1:]]
+    if type(h) not in _TAGS:
+        raise TypeError(f"unknown hypothesis {type(h).__name__}")
+    win = window(h)
+    vectors = (np.ones((1, 1), dtype=complex) if win is not None  # the angular classes: 1 in C^1
+               else h.fam.vectors if _is_family(h) else h.e[None, :])
+    none = np.empty((0, vectors.shape[1]), dtype=complex), np.empty(0)
+    if win is not None:  # lo <= arg f <= hi with -hi <= lo: k = cos hi, and h = sin lo if lo > 0
+        lo, hi = win
+        normals = np.array([1j, -1j, 1.0]) * np.exp(1j * np.array([lo, hi, 0.5 * (lo + hi)]))
+        family = vectors, np.array([math.cos(hi)]), np.array([max(math.sin(lo), 0.0)])
+        return family, ((normals[:, None], np.zeros(3)), none)
+    if isinstance(h, KCond):
+        family = vectors, np.array([1.0 / h.K]), np.zeros(1)
+        return family, (family[:2], none)
+    consts = [np.array(getattr(h, f.name), dtype=float, ndmin=1) for f in fields(h)[1:]]
+    if isinstance(h, (MBounds, OrthoMBounds)):
+        ms, Ms, ns, Ns = consts
+        ks = np.array([mM_to_k(m, M) for m, M in zip(ms, Ms)])
+        family = vectors, ks, np.array([mM_to_k(n, N) for n, N in zip(ns, Ns)])
+        centres = [(0.5 * (Ms + ms))[:, None] * vectors, (0.5 * (Ns + ns))[:, None] * 1j * vectors]
+        radii = np.concatenate([0.5 * (Ms - ms), 0.5 * (Ns - ns)])
+        return family, (none, (np.concatenate(centres), radii))
+    rows = np.concatenate([vectors, 1j * vectors]), np.concatenate(consts)
+    if isinstance(h, (UnitVector, Orthonormal)):
+        return (vectors, *consts), (rows, none)
+    family = vectors, *(np.array([disk_to_k(r) for r in c]) for c in consts)  # Disk, OrthoDisk
+    return family, (none, rows)
 
 
 def family_form(h: Hypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,26 +316,10 @@ def family_form(h: Hypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Rows e_j of ``vectors`` are orthonormal and the class implies
     ``ks[j]*||f|| <= Re<f, e_j>`` at every point, and ``hs[j]*||f|| <=
-    Im<f, e_j>`` at every point where ``hs[j] > 0``.  This is the only place
-    that knows each class's derived constants.
+    Im<f, e_j>`` at every point where ``hs[j] > 0``.  f must have the
+    width of ``vectors`` (the angular classes are scalar-only).
     """
-    win = window(h)
-    if win is not None:  # lo <= arg f <= hi with -hi <= lo: k = cos hi, and h = sin lo if lo > 0
-        lo, hi = win
-        return _SCALAR_E, np.array([math.cos(hi)]), np.array([max(math.sin(lo), 0.0)])
-    if isinstance(h, KCond):
-        return h.e[None, :], np.array([1.0 / h.K]), np.zeros(1)
-    if isinstance(h, (UnitVector, Orthonormal)):
-        vectors, (ks, hs) = _per_vector(h)
-        return vectors, ks, hs
-    if isinstance(h, (Disk, OrthoDisk)):
-        vectors, (rhos, etas) = _per_vector(h)
-        return vectors, np.array([disk_to_k(r) for r in rhos]), np.array([disk_to_k(r) for r in etas])
-    if isinstance(h, (MBounds, OrthoMBounds)):
-        vectors, (ms, Ms, ns, Ns) = _per_vector(h)
-        ks = np.array([mM_to_k(m, M) for m, M in zip(ms, Ms)])
-        return vectors, ks, np.array([mM_to_k(n, N) for n, N in zip(ns, Ns)])
-    raise TypeError(f"unknown hypothesis {type(h).__name__}")
+    return _forms(h)[0]
 
 
 def constraints(h: Hypothesis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -324,22 +334,7 @@ def constraints(h: Hypothesis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.
     the binding one inside the window but shuts out the opposite ray of a
     window as narrow as the tolerance.
     """
-    dim = hypothesis_dim(h)
-    none = np.empty((0, dim), dtype=complex), np.empty(0)
-    win = window(h)
-    if win is not None:
-        lo, hi = win
-        normals = np.array([1j, -1j, 1.0]) * np.exp(1j * np.array([lo, hi, 0.5 * (lo + hi)]))
-        return (normals[:, None], np.zeros(3)), none
-    if isinstance(h, KCond):
-        return (h.e[None, :], np.array([1.0 / h.K])), none
-    vectors, consts = _per_vector(h)
-    if isinstance(h, (MBounds, OrthoMBounds)):
-        ms, Ms, ns, Ns = consts
-        centres = [(0.5 * (Ms + ms))[:, None] * vectors, (0.5 * (Ns + ns))[:, None] * 1j * vectors]
-        return none, (np.concatenate(centres), np.concatenate([0.5 * (Ms - ms), 0.5 * (Ns - ns)]))
-    rows = np.concatenate([vectors, 1j * vectors]), np.concatenate(consts)
-    return (rows, none) if isinstance(h, (UnitVector, Orthonormal)) else (none, rows)
+    return _forms(h)[1]
 
 
 def window(h: Hypothesis) -> tuple[float, float] | None:
@@ -349,11 +344,6 @@ def window(h: Hypothesis) -> tuple[float, float] | None:
     if isinstance(h, Karamata):
         return -h.theta, h.theta
     return None
-
-
-def hypothesis_dim(h: Hypothesis) -> int:
-    """Ambient dimension required of f (angular variants are scalar-only)."""
-    return family_form(h)[0].shape[1]
 
 
 @dataclass(frozen=True)
@@ -434,7 +424,7 @@ def check(f: GridFunction, h: Hypothesis, tol: float = DEFAULT_CHECK_TOL) -> Con
     not finite and > 0, or if the worst slack is not finite.
     """
     require_tol(tol)
-    dim = hypothesis_dim(h)
+    dim = family_form(h)[0].shape[1]
     if dim != f.dim:
         raise ValueError(f"dimension mismatch: function has d={f.dim}, hypothesis wants d={dim}")
     slack = _slacks(f.values, h, f.interpolation)
@@ -561,14 +551,12 @@ def hypothesis_to_dict(h: Hypothesis) -> dict:
     return doc
 
 
-def _field_from(f: Field, raw):
+def _field_from(f: Field, raw, family: bool):
     if f.name == "e":
         return decode_pairs(raw, 1)
     if f.name == "fam":
         return OrthonormalFamily(vectors=decode_pairs(raw, 2))
-    if f.type == "tuple":  # annotations are strings under `from __future__ import annotations`
-        return tuple(decode_floats(raw, 1).tolist())
-    return float(decode_floats(raw, 0))
+    return decode_floats(raw, 1) if family else float(decode_floats(raw, 0))
 
 
 _CLASSES = {tag: cls for cls, tag in _TAGS.items()}
@@ -589,13 +577,13 @@ def hypothesis_from_dict(d: dict) -> Hypothesis:
     cls = _CLASSES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ValueError(f"type: unknown tag {tag!r}")
-    kwargs = {}
+    kwargs, family = {}, _is_family(cls)
     for f in fields(cls):
         key = _wire_key(f.name)
         if key not in d:
             raise ValueError(f"{key}: missing for type {tag!r}")
         try:
-            kwargs[f.name] = _field_from(f, d[key])
+            kwargs[f.name] = _field_from(f, d[key], family)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key}: {exc}") from exc
     return cls(**kwargs)

@@ -111,9 +111,7 @@ def _widened(h: Hypothesis, eps: float) -> Hypothesis:
             f"phase spread {eps!r} leaves the class: a rotated sample gets a negative "
             "Re or Im projection against some family vector, so no admissible constants remain"
         )
-    head, *consts = fields(h)  # (e, k1, k2) as (fam, ks, hs): one value per row, or a tuple
-    rotated = [tuple(v.tolist()) if f.type == "tuple" else v.item() for f, v in zip(consts, (ks, hs))]
-    return type(h)(getattr(h, head.name), *rotated)
+    return type(h)(getattr(h, fields(h)[0].name), ks, hs)
 
 
 def perturb_scan(

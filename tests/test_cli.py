@@ -161,6 +161,8 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
         ({"values": [[[1, 0]]] * 4 + [[[True, 0]]]}, "function: values: "),
         ({"values": [[[0.6, 0.8, 99]]] * 5}, "function: values: "),
         ({"values": [[]] * 5}, "function: values: "),
+        ({"interp": "cubic"}, "error: function: interp: unknown interpolation 'cubic'"),
+        ({"interp": 3}, "error: function: interp: unknown interpolation 3"),
     ]
     ok = constant_doc(1.0 + 0j, hyp)
     for change, field in function_cases:
@@ -182,6 +184,17 @@ def test_non_finite_and_wrong_typed_documents_exit_1_naming_the_field(tmp_path, 
                   "error: interval: "))
     cases.append((dict(bench_request, generator={"rmin": 2.0, "rmax": 1.0}), ("bench",),
                   "error: generator: "))
+    # refusals of a section that is not an object, and of a family's constant count
+    cases.append((dict(ok, function=[1, 2]), ("check", "certify", "integrate"),
+                  "error: function: expected an object with fields a, b, nodes, values"))
+    cases.append((dict(bench_request, generator=[1]), ("bench",),
+                  "error: generator: must be an object"))
+    cases.append((dict(witness_request, node_count=33, interval=[0, 1]), ("witness",),
+                  "error: interval: expected an object with fields a, b"))
+    two_vectors = {"type": "orthonormal", "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                   "ks": [0.3], "hs": [0.3, 0.4]}
+    cases.append((constant_doc(1.0 + 0j, two_vectors), ("check", "certify"),
+                  "error: hypothesis: ks/hs must have one entry per family vector (2)"))
     for i, (doc, commands, field) in enumerate(cases):
         path = tmp_path / f"doc{i}.json"
         path.write_text(json.dumps(doc).replace("Infinity", "1e999"), encoding="utf-8")
@@ -260,6 +273,34 @@ def test_node_spans_at_the_top_of_the_float_range(tmp_path, capsys):
                 else:
                     assert status == 1 and out == "" and err.count("\n") == 1, case
                     assert err.startswith("error: "), case
+
+
+def test_spans_past_the_float_range_with_finite_spacings(tmp_path, capsys):
+    # nodes 1e308 apart: the span overflows but no spacing does.  f = 1e-300
+    # integrates to 2e8 under every rule; the tent f = (1, 2, 1) 1e-300 shows
+    # the rule --quad-refine 1 takes: Simpson's 10/3 e8 on the even grid, the
+    # model's 3e8 on the uneven one
+    hyp = {"type": "unit_vector", "e": [[1, 0]], "k1": 0.5, "k2": 0.0}
+    for nodes, refined_tent in (([-1e308, 0.0, 1e308], 1e8 * 10 / 3),
+                                ([-1e308, -1e307, 1e308], 3e8)):
+        for values, integrals in (([1, 1, 1], (2e8, 2e8, 2e8)),
+                                  ([1, 2, 1], (3e8, refined_tent, 3e8))):
+            doc = constant_doc(0j, hyp, n=3)
+            doc["function"].update(a=nodes[0], b=nodes[-1], nodes=nodes,
+                                   values=[[[v * 1e-300, 0.0]] for v in values])
+            path = write_doc(tmp_path, "span.json", doc)
+            runs = [("check", [], None)] + [(c, f, i) for c in ("certify", "integrate")
+                                            for f, i in zip(QUAD_FLAGS, integrals)]
+            for command, flags, integral in runs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    status = main([command, "--input", path, *flags])
+                out, err = capsys.readouterr()
+                case = (nodes, values, command, flags, err)
+                assert status == 0 and err == "", case
+                field = {"certify": "true_norm", "integrate": "norm_integral"}.get(command)
+                if field:
+                    assert json.loads(out)[field] == pytest.approx(integral, rel=1e-14), case
 
 
 def test_an_interval_that_is_not_the_node_span_exits_1_naming_the_function(tmp_path, capsys):

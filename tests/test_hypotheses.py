@@ -189,6 +189,16 @@ def test_mforms_agree_when_both_fail():
     assert not check(f, h).holds
 
 
+def test_mforms_disagree_inside_the_tolerance():
+    # the forms scale apart near the outer circle |f| = M = 101: at
+    # f = 101 + 5e-10, form (i) is about -5e-8 (refused at tol 1e-9) and the
+    # ball slack -5e-10 (accepted); on the circle both accept, past 2e-9 both refuse
+    h = MBounds(E1, 1.0, 101.0, 1.0, 101.0)
+    assert not mforms_agree(constant(101.0 + 5e-10), h)
+    assert mforms_agree(constant(101.0), h)
+    assert mforms_agree(constant(101.0 + 2e-9), h)
+
+
 def test_mforms_agree_on_random_points():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3):

@@ -323,6 +323,13 @@ def test_tightness_karamata_scores_below_cone():
     assert karamata_stats.mean_ratio < cone_stats.mean_ratio
 
 
+def test_tightness_counts_violations_of_a_class_the_family_leaves():
+    # arguments spread over [0, 1.2] break the bound of the narrower window [0.5, 0.6]
+    spec = FamilySpec(hypothesis=Cone(0.0, 1.2), seed=0)
+    assert tightness(50, spec, Cone(0.5, 0.6)).violations > 0
+    assert tightness(50, spec, Cone(0.0, 1.2)).violations == 0
+
+
 def test_tightness_is_deterministic():
     spec = FamilySpec(hypothesis=Cone(0.1, 0.9), seed=21)
     s1 = tightness(40, spec, Cone(0.1, 0.9))
