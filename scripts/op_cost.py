@@ -12,6 +12,8 @@ The kernel may split CPU time between user and system at clock-tick
 granularity, so for an op of a few milliseconds the mean of the system time
 is the steadier figure (a median of 0.1 ms beside a mean of 2 ms is that
 split, not a fast op).
+User time counts every thread of the process, the bulk reader's worker
+thread included, so on a large read user + system time can exceed wall time.
 The command's output goes to the null device unless it names an
 ``--output`` file.  Exits 1 if a run exits 1.  It imports nothing outside
 the standard library but the package, from ``src/`` next to this script.

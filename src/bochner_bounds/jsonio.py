@@ -75,6 +75,19 @@ make that json's result:
   numpy: ``-0`` is json's integer 0, so it reads +0.0, while ``-0.0`` and
   ``-0e5`` read -0.0.
 
+An array of two pieces or more, in a process that may run on two CPUs or
+more, overlaps the strtold calls with the checks: numpy releases the
+interpreter lock inside ``fromstring``, so one daemon thread, started on
+first use and kept for the process, reads piece i while the reading
+thread checks piece i + 1 and rounds piece i - 1.  Each piece is checked
+and queued before the result of the one before it is awaited, so the
+worker always has a piece at hand, and the checks run in the serial
+order, each before its own piece's strtold call.  One read at a time uses
+the worker, with a result queue of its own, and waits for every job it
+queued before it returns, refuses or raises; a concurrent read reads
+serially, and so do single-piece arrays.  A forked child forgets the
+worker and starts its own.
+
 Elsewhere json reads each piece's bracket-free text as one flat list of
 numbers, and every integer among them must fit a float (``np.fromiter``
 converts them).  Either way an array holds json's bits, on every platform.
@@ -113,7 +126,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import threading
 import warnings
 from itertools import chain
 
@@ -351,6 +366,78 @@ def _round_to_doubles(wide: np.ndarray, near: np.ndarray, codes: np.ndarray) -> 
     return again
 
 
+def _strtold_job(text: bytes, room: int):
+    """``(piece, codes, count)`` for strtold to read the numbers of ``text``, or None.
+
+    ``text`` has no brackets.  None if the grammar check refuses a number
+    or there are more than ``room`` numbers.
+    """
+    # a number that strtold reads only in part is never the last one
+    piece = text + b",0"
+    codes = np.frombuffer(piece, np.uint8)
+    if not _json_numbers(codes):
+        return None
+    count = np.count_nonzero(codes == 44)  # the numbers before the 0
+    return (piece, codes, count) if count <= room else None
+
+
+def _strtold(piece: bytes, count: int) -> np.ndarray:
+    """strtold's reads of the ``count`` numbers of ``piece`` and its appended 0.
+
+    ValueError if strtold stops inside one.
+    """
+    # sized to the piece's own commas, so numpy grows no buffer and reads no
+    # uninitialized values past the text
+    return np.fromstring(piece, np.longdouble, count + 1, sep=",")
+
+
+# One daemon thread per process runs strtold on the pieces of a long array
+# while the reading thread checks the next piece and rounds the one before:
+# numpy releases the interpreter lock inside fromstring.  It starts on first
+# use, and one read at a time uses it; a concurrent read reads serially.
+_worker_jobs = None  # its queue of (piece, count, results), once it runs
+_worker_lock = threading.Lock()
+
+
+def _strtold_worker(jobs) -> None:
+    while True:
+        piece, count, results = jobs.get()
+        try:
+            results.put(_strtold(piece, count))
+        except Exception as exc:  # handed to the reader, which raises it
+            results.put(exc)
+        del piece, results  # hold no piece between jobs
+
+
+def _worker_queue():
+    """The worker's job queue; the caller holds ``_worker_lock``."""
+    global _worker_jobs
+    if _worker_jobs is None:
+        from queue import SimpleQueue  # only a long array needs it
+        jobs = SimpleQueue()
+        threading.Thread(target=_strtold_worker, args=(jobs,), name="jsonio-strtold",
+                         daemon=True).start()
+        _worker_jobs = jobs
+    return _worker_jobs
+
+
+def _forget_worker() -> None:
+    """In a forked child: the worker thread did not come along, nor did any holder of the lock."""
+    global _worker_jobs, _worker_lock
+    _worker_jobs, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ArrayDecoder(json.JSONDecoder):
     """``json.JSONDecoder`` that reads ``function.nodes`` and ``function.values`` as float arrays.
 
@@ -399,14 +486,23 @@ class ArrayDecoder(json.JSONDecoder):
         if shape is None:
             return None
         out = np.empty(math.prod(shape))
-        read = self._long_read if _STRTOLD_READ else self._json_read
-        done = 0
-        for lo, hi in _pieces(s, start, end):
-            # the piece without brackets or the comma that ends it
-            count = read(s[lo:hi - (hi < end)].encode("ascii").translate(None, b"[]"), out[done:])
-            if count is None:
-                return None
-            done += count
+        pieces = list(_pieces(s, start, end))
+        # each piece without brackets or the comma that ends it
+        texts = (s[lo:hi - (hi < end)].encode("ascii").translate(None, b"[]") for lo, hi in pieces)
+        overlap = _STRTOLD_READ and len(pieces) > 1 and _cpus() > 1
+        if overlap and _worker_lock.acquire(blocking=False):
+            try:
+                done = self._overlapped_read(texts, out)
+            finally:
+                _worker_lock.release()
+        else:
+            read = self._long_read if _STRTOLD_READ else self._json_read
+            done = 0
+            for text in texts:
+                count = read(text, out[done:])
+                if count is None:
+                    return None
+                done += count
         return out.reshape(shape) if done == out.size else None
 
     def _long_read(self, text: bytes, out: np.ndarray):
@@ -416,24 +512,59 @@ class ArrayDecoder(json.JSONDecoder):
         or there are more numbers than ``out`` holds; ValueError if strtold
         stops inside one.
         """
-        # a number that strtold reads only in part is never the last one
-        piece = text + b",0"
-        codes = np.frombuffer(piece, np.uint8)
-        if not _json_numbers(codes):
+        job = _strtold_job(text, out.size)
+        if job is None:
             return None
-        count = np.count_nonzero(codes == 44)  # the numbers before the 0
-        if count > out.size:
-            return None
-        # sized up front, so numpy grows no buffer; a read that stops early raises
-        wide = np.fromstring(piece, np.longdouble, count + 1, sep=",")
-        near = out[:count]
-        again = _round_to_doubles(wide[:count], near, codes)
+        piece, codes, count = job
+        self._round(piece, codes, _strtold(piece, count), out[:count])
+        return count
+
+    def _overlapped_read(self, texts, out: np.ndarray):
+        """:meth:`_long_read` of each of ``texts`` in turn, into ``out``; the count read.
+
+        Each piece is checked and queued for the worker before the result of
+        the piece before it is awaited and rounded, so the worker always has
+        the next piece at hand and every check runs in the serial read's
+        order.  Whether it returns, refuses or raises, it leaves no job of
+        this read with the worker.
+        """
+        from queue import SimpleQueue
+        jobs, results = _worker_queue(), SimpleQueue()
+        done, flights = 0, []  # (piece, codes, its place in out) of each piece queued
+
+        def land():
+            piece, codes, near = flights.pop(0)
+            wide = results.get()
+            if isinstance(wide, Exception):
+                raise wide
+            return piece, codes, wide, near
+
+        try:
+            for text in texts:
+                job = _strtold_job(text, out.size - done)
+                if job is None:
+                    return None
+                piece, codes, count = job
+                jobs.put((piece, count, results))
+                flights.append((piece, codes, out[done:done + count]))
+                done += count
+                if len(flights) > 1:
+                    self._round(*land())
+            if flights:
+                self._round(*land())
+            return done
+        finally:
+            for _ in flights:
+                results.get()
+
+    def _round(self, piece: bytes, codes: np.ndarray, wide: np.ndarray, near: np.ndarray) -> None:
+        """Round strtold's reads ``wide`` of ``piece`` into ``near``; json reads midpoints again."""
+        again = _round_to_doubles(wide[:near.size], near, codes)
         if again.size:
             commas = np.flatnonzero(codes == 44)
             for at in again.tolist():
                 start = commas[at - 1] + 1 if at else 0
                 near[at] = float(super().decode(piece[start:commas[at]].decode("ascii")))
-        return count
 
     def _json_read(self, text: bytes, out: np.ndarray):
         """As :meth:`_long_read`, with json reading ``text`` as one flat list."""

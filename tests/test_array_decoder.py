@@ -12,8 +12,14 @@ read that every platform has.
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -24,6 +30,8 @@ from hypothesis import strategies as st
 from bochner_bounds import cli, jsonio
 from bochner_bounds.gridfn import gridfunction_from_dict
 from bochner_bounds.jsonio import ArrayDecoder
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 READ_PATHS = [
     pytest.param(True, id="strtold", marks=pytest.mark.skipif(
@@ -483,3 +491,174 @@ def test_an_integer_past_the_digit_limit_names_the_input(where, strtold, tmp_pat
     assert status == 1 and out == ""
     assert err.startswith(f"error: input: cannot read a number in {str(tmp_path / 'doc.json')!r}: ")
     assert "4300" in err and err.count("\n") == 1
+
+
+# ------------------------------------------------- the strtold worker thread
+
+STRTOLD_ONLY = pytest.mark.skipif(not jsonio._STRTOLD_READ,
+                                  reason="the strtold read does not run here")
+
+
+@pytest.fixture
+def overlapped(monkeypatch) -> list:
+    """Two CPUs as far as ArrayDecoder can tell; the list of its reads that used the worker."""
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+    calls, read = [], ArrayDecoder._overlapped_read
+
+    def counting(self, texts, out):
+        calls.append(out.size)
+        return read(self, texts, out)
+
+    monkeypatch.setattr(ArrayDecoder, "_overlapped_read", counting)
+    return calls
+
+
+def doubles_text(seed, count) -> str:
+    """A document whose values hold ``count`` random doubles, each written as repr writes it."""
+    return doc_text(values=values_with(list(map(repr, random_doubles(np.random.default_rng(seed),
+                                                                    count)))))
+
+
+def json_bits(text) -> bytes:
+    return np.array(json.loads(text)["function"]["values"], float).tobytes()
+
+
+def piece_firsts(text) -> list:
+    """The index of the first number of each piece of the values array of ``text``."""
+    (_, start, end), = [span for span in jsonio._array_spans(text) if span[0] == "values"]
+    # values_with writes one comma between every two numbers
+    return [text.count(",", start, lo) for lo, _ in jsonio._pieces(text, start, end)]
+
+
+@STRTOLD_ONLY
+@pytest.mark.parametrize("piece", [1, 7, 4096])
+def test_a_refusal_in_any_piece_leaves_the_worker_ready(piece, overlapped, monkeypatch):
+    """Grammar refusals, strtold stopping and a failing json re-read, in the first, second and
+    last piece: the read fails as json fails, and the next document still reads json's bits."""
+    monkeypatch.setattr(jsonio, "_PIECE", piece)
+    tokens = list(map(repr, random_doubles(np.random.default_rng(22), 600)))
+    good = doc_text(values=values_with(tokens))
+    firsts = piece_firsts(good)
+    assert len(firsts) >= 3
+    # the last is past json's digit limit: strtold reads an infinity, which json reads again
+    for bad, at in itertools.product(["01", "1.", "+1", "1 2", "1" + "0" * 5000],
+                                     [0, firsts[1], len(tokens) - 1]):
+        text = doc_text(values=values_with(tokens[:at] + [bad] + tokens[at + 1:]))
+        assert bulk_read(text) == []
+        assert jsonio._worker_jobs.empty()
+        assert bulk_read(good) == ["nodes", "values"]
+    assert len(overlapped) >= 2 * 15
+
+
+@STRTOLD_ONLY
+def test_more_numbers_than_the_array_holds_leaves_no_job_in_flight(overlapped, monkeypatch):
+    monkeypatch.setattr(jsonio, "_PIECE", 7)
+    decoder = ArrayDecoder()
+    texts = [b"0.5, 1.5", b"2.5, 3.5", b"4.5"]
+    assert decoder._overlapped_read(iter(texts), np.empty(5)) == 5
+    for size in (0, 1, 3, 4):
+        assert decoder._overlapped_read(iter(texts), np.empty(size)) is None
+        assert jsonio._worker_jobs.empty()
+    out = np.empty(5)
+    assert decoder._overlapped_read(iter(texts), out) == 5
+    assert out.tolist() == [0.5, 1.5, 2.5, 3.5, 4.5]
+    text = doubles_text(23, 400)
+    assert json.loads(text, cls=ArrayDecoder)["function"]["values"].tobytes() == json_bits(text)
+
+
+@STRTOLD_ONLY
+def test_concurrent_readers_each_get_their_own_numbers(overlapped, monkeypatch):
+    """More readers than CPUs, switching often: one at a time uses the worker, the rest read
+    serially, and no reader gets another's numbers."""
+    monkeypatch.setattr(jsonio, "_PIECE", 4096)
+    texts = [doubles_text(30 + i, 3000 + 500 * i) for i in range(4)]
+    wants = list(map(json_bits, texts))
+    failures = []
+
+    def reader(text, want):
+        try:
+            for _ in range(15):
+                got = json.loads(text, cls=ArrayDecoder)["function"]["values"]
+                if got.tobytes() != want:
+                    failures.append(got.size)
+        except Exception as exc:  # a thread's exception would otherwise only be printed
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=pair) for pair in zip(texts, wants)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and overlapped
+
+
+@STRTOLD_ONLY
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_a_forked_child_starts_its_own_worker(overlapped, monkeypatch):
+    monkeypatch.setattr(jsonio, "_PIECE", 4096)
+    text = doubles_text(24, 3000)
+    want = json_bits(text)
+    assert json.loads(text, cls=ArrayDecoder)["function"]["values"].tobytes() == want
+    jobs = jsonio._worker_jobs
+    assert jobs is not None and overlapped
+    with warnings.catch_warnings():
+        # newer Pythons warn on a fork in a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: its result is its exit status
+        status = 1
+        try:
+            got = json.loads(text, cls=ArrayDecoder)["function"]["values"].tobytes()
+            status = 2 if got != want else 3 if jsonio._worker_jobs in (None, jobs) else 0
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its read")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@STRTOLD_ONLY
+def test_one_cpu_reads_serially_with_the_same_bits(overlapped, monkeypatch):
+    monkeypatch.setattr(jsonio, "_PIECE", 4096)
+    text = doubles_text(25, 3000)
+    got = json.loads(text, cls=ArrayDecoder)["function"]["values"].tobytes()
+    assert got == json_bits(text) and len(overlapped) == 1
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 1)
+    assert json.loads(text, cls=ArrayDecoder)["function"]["values"].tobytes() == got
+    assert len(overlapped) == 1
+
+
+@STRTOLD_ONLY
+def test_reads_start_at_most_one_thread(overlapped, monkeypatch):
+    monkeypatch.setattr(jsonio, "_PIECE", 4096)
+    text = doubles_text(26, 2000)
+    before = threading.active_count()
+    for _ in range(50):
+        json.loads(text, cls=ArrayDecoder)
+    assert len(overlapped) == 50 and threading.active_count() <= before + 1
+
+
+def test_a_single_piece_cli_run_starts_no_thread():
+    """The 17 KB cone input fits one piece: no worker, and no executor module imported."""
+    code = ("import sys, threading; from bochner_bounds import cli, jsonio; "
+            "status = cli.main(['certify', '--input', 'inputs/cone_pi6_pi3.json']); "
+            "print(status, threading.active_count(), jsonio._worker_jobs is None, "
+            "'concurrent.futures' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT)
+    assert os.path.getsize(os.path.join(ROOT, "inputs", "cone_pi6_pi3.json")) < jsonio._PIECE
+    assert json.loads(proc.stdout)["kind"] == "bound_report"
+    assert proc.stderr == "0 1 True False\n"
